@@ -261,71 +261,6 @@ class InvariantMonitor:
         self._check_fleet(engine, now)
         self._check_rv(engine, now)
         self._check_spot(engine, now)
-        self._check_alloc(engine, now)
-
-    def _check_alloc(self, engine: "ClusterEngine", now: float) -> None:
-        """Fractional-fleet partition invariants (:mod:`repro.alloc`).
-
-        Checked against the bookkeeping of the most recent partitioned
-        round: the apportioned caps/queue/idle shares must sum to the
-        quantities they partition, no job may be dispatched by two
-        partitions, no VM may be assigned twice, and the applied weights
-        must be a valid point on the simplex.
-        """
-        info = getattr(engine, "_alloc_round_info", None)
-        if info is None:
-            return
-        engine._alloc_round_info = None  # one check per partitioned round
-        weights = info["weights"]
-        if any(not 0.0 <= w <= 1.0 for w in weights):
-            self._emit(
-                "alloc-weight-bounds",
-                now,
-                f"applied weights outside [0, 1]: {weights}",
-            )
-        if abs(sum(weights) - 1.0) > 1e-6:
-            self._emit(
-                "alloc-weight-sum",
-                now,
-                f"applied weights sum to {sum(weights)!r}, expected 1",
-            )
-        if sum(info["caps"]) != info["max_vms"]:
-            self._emit(
-                "alloc-partition-sum",
-                now,
-                f"partition caps sum {sum(info['caps'])} != {info['max_vms']}",
-            )
-        # Wide jobs bypass the partitions (whole-fleet pass), so queue
-        # conservation is: partitioned shares + wide jobs == queue.
-        q_total = sum(info["queue_shares"]) + info.get("wide_jobs", 0)
-        if q_total != info["queue_len"]:
-            self._emit(
-                "alloc-partition-sum",
-                now,
-                f"partition queue shares + wide jobs {q_total}"
-                f" != {info['queue_len']}",
-            )
-        if sum(info["idle_shares"]) != info["idle_len"]:
-            self._emit(
-                "alloc-partition-sum",
-                now,
-                f"partition idle_shares sum {sum(info['idle_shares'])}"
-                f" != {info['idle_len']}",
-            )
-        jobs = info["started_jobs"]
-        if len(jobs) != len(set(jobs)):
-            self._emit(
-                "alloc-double-dispatch",
-                now,
-                f"a job was dispatched by two partitions: {jobs}",
-            )
-        if info.get("double_dispatch"):
-            self._emit(
-                "alloc-double-dispatch",
-                now,
-                "a partition tried to reuse a running job or an"
-                " already-assigned VM",
-            )
 
     def _check_spot(self, engine: "ClusterEngine", now: float) -> None:
         """Preemption conservation: every reclaim the engine counted must

@@ -374,35 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the final result as Prometheus text-format "
                      "metrics")
 
-    alloc = p_run.add_argument_group(
-        "fleet allocation",
-        "fractional-fleet extension (repro.alloc): split the VM fleet "
-        "across the top-k policies of each selection round with bounded "
-        "weights instead of applying the argmax winner fleet-wide; "
-        "--alloc-k 1 (default) reproduces the paper's scheduler "
-        "bit-identically",
-    )
-    alloc.add_argument("--alloc-k", type=_positive_int, default=1, metavar="K",
-                       help="how many top-ranked policies share the fleet "
-                       "(1 = the paper's single-winner scheduler)")
-    alloc.add_argument("--alloc-method", choices=("proportional", "softmax"),
-                       default="proportional",
-                       help="utility-score → weight mapping")
-    alloc.add_argument("--alloc-temperature", type=_positive_float,
-                       default=1.0, metavar="T",
-                       help="softmax temperature: small T approaches argmax, "
-                       "large T approaches equal weights")
-    alloc.add_argument("--alloc-min-weight", type=_rate, default=0.0,
-                       metavar="W", help="lower bound on each partition's "
-                       "fleet fraction (widened to min(W, 1/k) when needed)")
-    alloc.add_argument("--alloc-max-weight", type=_rate, default=1.0,
-                       metavar="W", help="upper bound on each partition's "
-                       "fleet fraction (widened to max(W, 1/k) when needed)")
-    alloc.add_argument("--alloc-rebalance-threshold", type=_rate, default=0.0,
-                       metavar="D",
-                       help="hysteresis: hold the applied split unless the "
-                       "new target drifts more than D (L∞) away from it")
-
     p_fig = sub.add_parser("figure", help="regenerate a paper table/figure")
     p_fig.add_argument("name", choices=_FIGURES)
 
@@ -695,40 +666,6 @@ def _spot_config(args: argparse.Namespace):
     )
 
 
-def _alloc_config(args: argparse.Namespace):
-    """Build the AllocConfig for the --alloc-* knobs, or None.
-
-    ``--alloc-k 1`` (the default) returns None so the EngineConfig is
-    the exact object builds predating the alloc layer construct — the
-    bit-identical contract.  The config is still constructed first so
-    cross-field validation (min > max, bad method) rejects bad values
-    even at k=1.
-    """
-    from repro.alloc import AllocConfig
-
-    try:
-        cfg = AllocConfig(
-            k=args.alloc_k,
-            method=args.alloc_method,
-            temperature=args.alloc_temperature,
-            min_weight=args.alloc_min_weight,
-            max_weight=args.alloc_max_weight,
-            rebalance_threshold=args.alloc_rebalance_threshold,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit2(f"--alloc-*: {exc}", EX_USAGE) from exc
-    if cfg.k == 1:
-        return None
-    if args.policy != "portfolio":
-        raise SystemExit2(
-            "--alloc-k > 1 requires --policy portfolio: a fixed policy has "
-            "no ranking to split the fleet over",
-            EX_USAGE,
-        )
-    return cfg
-
-
 def _snapshot_config(args: argparse.Namespace):
     """Build the SnapshotConfig for --snapshot-dir, or None."""
     if not args.snapshot_dir:
@@ -778,15 +715,10 @@ def _build_engine(args: argparse.Namespace):
     spot_cfg = _spot_config(args)
     if spot_cfg is not None:
         spot_kwargs["spot"] = spot_cfg
-    alloc_kwargs: dict = {}
-    alloc_cfg = _alloc_config(args)
-    if alloc_cfg is not None:
-        alloc_kwargs["alloc"] = alloc_cfg
     config = EngineConfig(
         provider=ProviderConfig(max_vms=args.max_vms),
         **_resilience_config(args),
         **spot_kwargs,
-        **alloc_kwargs,
         **audit_kwargs,
         **obs_kwargs,
     )
@@ -892,19 +824,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spot_stats = getattr(result, "spot", None)
     if spot_stats is not None and spot_stats.any_activity:
         print(format_table([spot_stats.row()], title="spot market"))
-    alloc_summary = getattr(result, "alloc", None)
-    if alloc_summary is not None:
-        reb = alloc_summary.get("rebalancer", {})
-        applied = alloc_summary.get("applied") or {}
-        split = ", ".join(f"{n}={w:.2f}" for n, w in applied.items())
-        print(
-            f"fleet allocation: k={alloc_summary['config']['k']} "
-            f"({alloc_summary['config']['method']}), "
-            f"{alloc_summary.get('rounds', 0)} partitioned rounds, "
-            f"{reb.get('rebalances', 0)} rebalances, "
-            f"{reb.get('holds', 0)} holds"
-            + (f"; last split: {split}" if split else "")
-        )
     report = getattr(result, "audit", None)
     if report is not None and (args.audit_report or not report.ok):
         print(format_table([report.summary_row()], title="audit"))

@@ -5,17 +5,28 @@ candidate policy, the online simulator fast-forwards the system — with no
 future arrivals — until every queued job finishes, and scores the policy
 with the utility function.  It is the selection mapping S(·) of the
 abstract model, invoked up to 60 times per scheduling decision, so it is
-built for speed:
+built for speed.  It has two kernels that share the billing helpers and
+the utility function but not the policy code:
 
-* it shares :meth:`CombinedPolicy.allocate` / ``new_vms`` with the real
-  engine (identical semantics, no code divergence), but
-* instead of ticking every 20 s it jumps between *decision-relevant*
-  times: VM boot completions, job finishes, idle-VM billing boundaries,
-  ODX urgency crossings — falling back to tick-stepping only in the rare
-  head-blocked state where queue reordering could unblock allocation, and
-* each step makes a single pass over the live fleet (classification,
-  next-event search and release checks fused), with released VMs charged
-  incrementally and dropped from the scan.
+* the default fast kernel (:mod:`repro.core.fast_sim`) re-derives the
+  12 built-in provisioning / job-selection / VM-selection formulas over
+  arrays and never calls the policy methods;
+* the reference loop (:meth:`OnlineSimulator._evaluate_reference`) calls
+  the same :meth:`CombinedPolicy.allocate` / ``new_vms`` as the real
+  engine.  Only members outside the fast kernel's dispatch tables
+  (custom or backfilling policies), the boundary release rule, and
+  ``--kernel reference`` reach it.
+
+Tests hold the fast kernel to the reference loop
+(``tests/test_kernel_fast.py``, exact) and the simulator to the engine
+(``tests/test_online_engine_consistency.py``, every portfolio member).
+Both kernels jump between *decision-relevant* times instead of ticking
+every 20 s — VM boot completions, job finishes, idle-VM billing
+boundaries, ODX urgency crossings — falling back to tick-stepping only
+in the rare head-blocked state where queue reordering could unblock
+allocation.  Each reference step makes a single pass over the live fleet
+(classification, next-event search and release checks fused), with
+released VMs charged incrementally and dropped from the scan.
 
 Cost accounting is **marginal**: pre-existing VMs are charged only for
 what the simulated horizon adds beyond their already-booked hours, VMs
@@ -43,13 +54,6 @@ __all__ = ["OnlineSimulator", "SimOutcome"]
 
 _EPS = 1e-6
 _INF = float("inf")
-
-#: Queue size at which :meth:`OnlineSimulator._finalize` switches the
-#: BSD math to the numpy batch in :mod:`repro.metrics.slowdown`.  The
-#: batch is elementwise (no reductions), so results are bit-identical to
-#: the scalar loop either way; below this size the array setup costs
-#: more than it saves.
-_BATCH_MIN = 32
 
 
 def _remaining_paid(t: float, lease_time: float, period: float) -> float:
@@ -508,36 +512,18 @@ class OnlineSimulator:
         horizon = end_time if end_time > t else t
         rj = 0.0
         bsd_sum = 0.0
-        if n >= _BATCH_MIN and not truncated:
-            # Batch the per-job arithmetic; elementwise numpy float64 ops
-            # round exactly like the scalar expressions below, and the
-            # accumulation stays a left-to-right Python sum over the
-            # materialised terms, so the result is bit-identical.
-            from repro.metrics.slowdown import bounded_slowdown_batch
-            import numpy as np
-
-            est_arr = np.maximum(np.asarray(runtimes, dtype=np.float64), 1.0)
-            starts = np.fromiter(
-                (start_times[i] for i in range(n)), dtype=np.float64, count=n
-            )
-            total_waits = np.asarray(waits, dtype=np.float64) + (starts - t0)
-            for term in (np.asarray(procs_of, dtype=np.float64) * est_arr).tolist():
-                rj += term
-            for term in bounded_slowdown_batch(total_waits, est_arr).tolist():
-                bsd_sum += term
-        else:
-            for qidx in range(n):
-                est = max(runtimes[qidx], 1.0)
-                rj += procs_of[qidx] * est
-                start = start_times.get(qidx)
-                if start is None:
-                    # Truncated before this job started: penalise with the
-                    # wait accrued up to truncation plus one full horizon.
-                    total_wait = waits[qidx] + (t - t0) + (horizon - t0)
-                else:
-                    total_wait = waits[qidx] + (start - t0)
-                denom = max(est, BOUNDED_SLOWDOWN_BOUND)
-                bsd_sum += max(1.0, (total_wait + denom) / denom)
+        for qidx in range(n):
+            est = max(runtimes[qidx], 1.0)
+            rj += procs_of[qidx] * est
+            start = start_times.get(qidx)
+            if start is None:
+                # Truncated before this job started: penalise with the
+                # wait accrued up to truncation plus one full horizon.
+                total_wait = waits[qidx] + (t - t0) + (horizon - t0)
+            else:
+                total_wait = waits[qidx] + (start - t0)
+            denom = max(est, BOUNDED_SLOWDOWN_BOUND)
+            bsd_sum += max(1.0, (total_wait + denom) / denom)
         bsd = bsd_sum / n if queue else 1.0
 
         # Spot snapshot: re-price the VM hours this policy would lease at

@@ -205,90 +205,6 @@ class PortfolioScheduler(Scheduler):
         # selection logic never reads these.
         self._pending_outcome: SelectionOutcome | None = None
         self._pending_failover = False
-        # Fractional fleet allocation (repro.alloc) — configured lazily
-        # via configure_alloc(); all access below goes through getattr so
-        # snapshots taken by older builds resume cleanly.
-        self._allocator = None
-        self._rebalancer = None
-        self._applied_alloc = None
-        self._alloc_policies: dict[str, CombinedPolicy] = {}
-        self._pending_alloc: dict | None = None
-
-    def configure_alloc(self, config) -> None:
-        """Enable top-k fractional fleet allocation (``repro.alloc``).
-
-        With ``config.k == 1`` this is a no-op: the engine keeps the
-        single-policy path and stays bit-identical to a build without
-        the subsystem.
-        """
-        from repro.alloc import AllocConfig, DriftRebalancer, WeightAllocator
-
-        if not isinstance(config, AllocConfig):
-            raise TypeError(f"expected AllocConfig, got {type(config).__name__}")
-        if config.k == 1:
-            return
-        self._allocator = WeightAllocator(config)
-        self._rebalancer = DriftRebalancer(config.rebalance_threshold)
-        self._applied_alloc = None
-        self._alloc_policies = dict(self._by_name)
-        self._alloc_policies.setdefault(self.safe_policy.name, self.safe_policy)
-        self._pending_alloc = None
-
-    def current_allocation(self) -> tuple[tuple[CombinedPolicy, float], ...]:
-        """The applied (policy, weight) split, winner first.
-
-        Empty when allocation is unconfigured or no selection has run
-        yet — the engine then keeps its single-policy path.
-        """
-        applied = getattr(self, "_applied_alloc", None)
-        if applied is None:
-            return ()
-        policies = getattr(self, "_alloc_policies", None) or self._by_name
-        return tuple(
-            (policies[entry.policy], entry.target_weight)
-            for entry in applied.entries
-        )
-
-    def take_alloc_telemetry(self) -> dict | None:
-        """Consume this round's allocation event (None between selections)."""
-        pending = getattr(self, "_pending_alloc", None)
-        self._pending_alloc = None
-        return pending
-
-    def _apply_allocation(self, ranking: list[tuple[str, float]]) -> None:
-        """Run allocator + rebalancer on this invocation's ranking."""
-        allocator = getattr(self, "_allocator", None)
-        rebalancer = getattr(self, "_rebalancer", None)
-        if allocator is None or rebalancer is None:
-            return
-        target = allocator.allocate(ranking)
-        applied, moved = rebalancer.apply(target)
-        self._applied_alloc = applied
-        self._pending_alloc = {
-            "target": dict(zip(target.names, target.weights)),
-            "applied": dict(zip(applied.names, applied.weights)),
-            "moved": moved,
-            "drift": rebalancer.last_drift,
-            "rebalances": rebalancer.rebalances,
-            "holds": rebalancer.holds,
-        }
-
-    def alloc_summary(self) -> dict | None:
-        """Run-level allocation state for the export's ``"alloc"`` block."""
-        allocator = getattr(self, "_allocator", None)
-        rebalancer = getattr(self, "_rebalancer", None)
-        if allocator is None or rebalancer is None:
-            return None
-        applied = getattr(self, "_applied_alloc", None)
-        return {
-            "config": allocator.config.to_dict(),
-            "rebalancer": rebalancer.to_dict(),
-            "applied": (
-                dict(zip(applied.names, applied.weights))
-                if applied is not None
-                else None
-            ),
-        }
 
     @property
     def invocations(self) -> int:
@@ -342,9 +258,6 @@ class PortfolioScheduler(Scheduler):
                 self.failed_over = True
                 self._active = self.safe_policy
                 self._last_selection_tick = tick_index
-                # Failover collapses any fractional split: the safe
-                # policy takes the whole fleet.
-                self._apply_allocation([(self.safe_policy.name, 1.0)])
                 return self.safe_policy
             chosen = outcome.best
             # Quarantined entries carry −inf scores; keep them out of the
@@ -363,14 +276,6 @@ class PortfolioScheduler(Scheduler):
                 chosen = self._by_name[ranked[0][0]]
             self._active = chosen
             self._last_selection_tick = tick_index
-            if getattr(self, "_allocator", None) is not None:
-                # Ranking for the allocator: the applied winner first
-                # (reflection may have re-ranked it above scores[0]),
-                # then the remaining healthy policies in score order.
-                score_of = dict(scores)
-                ranking = [(chosen.name, score_of.get(chosen.name, 1.0))]
-                ranking += [(n, s) for n, s in scores if n != chosen.name]
-                self._apply_allocation(ranking)
             if any(name == chosen.name for name, _ in scores):
                 self.reflection.record_invocation(
                     time=profile.now,

@@ -72,7 +72,12 @@ MANIFEST_NAME = "MANIFEST.json"
 #:    preemption bookkeeping); results grew a ``spot`` field.  Format-2
 #:    engines lack those attributes, so resuming one would crash
 #:    mid-run — reject the manifest up front instead.
-SNAPSHOT_FORMAT = 3
+#: 4: the fractional-fleet layer is gone: ``EngineConfig`` and
+#:    ``ExperimentResult`` lost their ``alloc`` field.  Both are frozen
+#:    slots dataclasses whose ``__setstate__`` zips fields with the
+#:    pickled values, so a format-3 snapshot of a k > 1 run would
+#:    otherwise resume silently as a single-winner run.
+SNAPSHOT_FORMAT = 4
 
 
 class SnapshotError(RuntimeError):

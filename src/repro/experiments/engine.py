@@ -12,9 +12,16 @@ under a :class:`~repro.core.scheduler.Scheduler`:
   at their next hourly boundary unless the active policy keeps them;
 * jobs run to completion, exclusively, without preemption or migration.
 
-Allocation and provisioning use the *same* ``CombinedPolicy`` methods as
-the online simulator, so what the portfolio scheduler simulates is what
-the engine executes.
+Each tick the engine calls the active policy's ``CombinedPolicy.new_vms``
+and ``allocate``.  The online simulator shares that code only in its
+reference loop (custom or backfilling members, the boundary release
+rule, ``--kernel reference``); the default fast kernel
+(:mod:`repro.core.fast_sim`) re-derives the 12 built-in component
+formulas over arrays.  Tests hold the three equal: the differential soak
+in ``tests/test_kernel_fast.py`` (fast ≡ reference, exact),
+``tests/test_online_engine_consistency.py`` (engine ≈ simulator on a
+closed burst, for every portfolio member), and the CI ``kernel-smoke``
+export diffs.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.alloc import AllocConfig
-from repro.alloc.split import largest_remainder
 from repro.audit.config import AuditConfig, default_audit_config
 from repro.audit.monitor import InvariantMonitor
 from repro.audit.report import AuditReport
@@ -124,12 +129,6 @@ class EngineConfig:
     #: (default) is the paper's cooperative cloud — every spot branch is
     #: gated on it, so the run stays bit-identical to earlier builds.
     spot: "SpotConfig | None" = None
-    #: Fractional fleet allocation (:mod:`repro.alloc`): split the fleet
-    #: across the top-k policies of each selection round with bounded
-    #: weights instead of applying the argmax winner fleet-wide.
-    #: ``None`` (default) — and any config with ``k == 1`` — keeps the
-    #: paper's single-winner scheduler, bit-identical to earlier builds.
-    alloc: "AllocConfig | None" = None
 
     def __post_init__(self) -> None:
         if self.tick <= 0:
@@ -191,10 +190,6 @@ class ExperimentResult:
     #: Hostile-cloud counters (``None`` when no spot market was
     #: configured, keeping cooperative-cloud exports identical).
     spot: "SpotStats | None" = None
-    #: Fractional-fleet allocation summary (config, rebalance counters,
-    #: last applied weights); ``None`` unless a ``k > 1`` AllocConfig was
-    #: in force, keeping single-winner exports identical.
-    alloc: "dict | None" = None
 
     @property
     def failed_jobs(self) -> int:
@@ -315,23 +310,6 @@ class ClusterEngine:
         #: Checkpoint-interval override of the active spot-aware policy
         #: (``None`` keeps the configured cadence).
         self._ckpt_override: float | None = None
-
-        # Fractional-fleet layer (extension, :mod:`repro.alloc`): the
-        # scheduler owns allocator + rebalancer state (so durability
-        # snapshots carry it); the engine keeps only per-round partition
-        # bookkeeping for the audit monitor.  ``k == 1`` configures
-        # nothing and every multi-partition branch stays dead.
-        self._alloc_round_info: dict | None = None
-        self._alloc_rounds = 0
-        alloc_cfg = self.config.alloc
-        if alloc_cfg is not None and alloc_cfg.k > 1:
-            if not isinstance(scheduler, PortfolioScheduler):
-                raise ValueError(
-                    "fractional fleet allocation (alloc.k > 1) requires a "
-                    "PortfolioScheduler: fixed policies have no ranking to "
-                    "split the fleet over"
-                )
-            scheduler.configure_alloc(alloc_cfg)
 
         # Workflow support: jobs with unmet dependencies are held back and
         # become eligible (submit time reset to the release instant, so
@@ -505,12 +483,6 @@ class ClusterEngine:
                     self.scheduler.selector.consecutive_quarantines
                 ),
             )
-        if isinstance(self.scheduler, PortfolioScheduler):
-            alloc_event = self.scheduler.take_alloc_telemetry()
-            if alloc_event is not None:
-                self.tracer.emit(
-                    trace_records.ALLOC, now, round=round_id, **alloc_event
-                )
 
     # -- event handlers -----------------------------------------------------
 
@@ -598,157 +570,35 @@ class ClusterEngine:
         if self.tracer is not None:
             self._emit_round(now, ctx, policy, self._tick_index - 1)
 
-        entries: tuple = ()
-        if isinstance(self.scheduler, PortfolioScheduler):
-            entries = self.scheduler.current_allocation()
-        if len(entries) > 1:
-            # Fractional-fleet round: the top-k policies each drive
-            # their own partition of queue, idle VMs, and capacity.
-            self._tick_partitions(sim, now, ctx, entries)
-        else:
-            # Single-winner round (the paper's scheduler; also every
-            # run without an AllocConfig — this path is byte-for-byte
-            # the pre-alloc engine).
+        # Provisioning (one lease request, subject to injected faults).
+        n_new = policy.new_vms(ctx)
+        if n_new > 0:
+            if self._spot_market is not None:
+                self._provision_spot(sim, policy, ctx, n_new, now)
+            else:
+                self._provision(sim, n_new, now)
 
-            # Provisioning (one lease request, subject to injected faults).
-            n_new = policy.new_vms(ctx)
-            if n_new > 0:
-                if self._spot_market is not None:
-                    self._provision_spot(sim, policy, ctx, n_new, now)
-                else:
-                    self._provision(sim, n_new, now)
-
-            # Allocation.  VMs under a preemption notice are excluded: their
-            # grace window is closing and a job started now would just die.
-            idle = self.provider.idle_vms()
-            if self._doomed:
-                idle = [vm for vm in idle if vm.vm_id not in self._doomed]
-            if idle and self.queue:
-                period = self.provider.billing.period
-                views = [
-                    IdleVM(vm_id=vm.vm_id, remaining_paid=self.provider.remaining_paid(vm, now) or period)
-                    for vm in idle
-                ]
-                by_id = {vm.vm_id: vm for vm in idle}
-                allocations = policy.allocate(ctx, views, period)
-                started: list[Job] = []
-                for alloc in allocations:
-                    job = self.queue[alloc.queue_index]
-                    finish = now + self._remaining_runtime(job)
-                    vms = [by_id[vid] for vid in alloc.vm_ids]
-                    for vm in vms:
-                        self._cancel_boundary(vm)
-                        vm.assign(job.job_id, finish)
-                    self._vms_of_job[job.job_id] = vms
-                    job.state = JobState.RUNNING
-                    job.start_time = now
-                    self._finish_events[job.job_id] = sim.schedule_at(
-                        finish, EventKind.JOB_FINISH, job
-                    )
-                    started.append(job)
-                if started:
-                    started_ids = {job.job_id for job in started}
-                    self.queue = [j for j in self.queue if j.job_id not in started_ids]
-
-        self._release_surplus(sim)
-        if self.queue:
-            self._tick_event = sim.schedule_after(self.config.tick, EventKind.SCHEDULE_TICK)
-        if self.audit is not None:
-            self.audit.check_round(self)
-
-    def _tick_partitions(
-        self,
-        sim: Simulator,
-        now: float,
-        ctx: SchedContext,
-        entries: "tuple[tuple[CombinedPolicy, float], ...]",
-    ) -> None:
-        """One fractional-fleet scheduling round (:mod:`repro.alloc`).
-
-        The applied allocation's k policies each see a *virtual* slice of
-        the shared state — a contiguous queue share, an idle-VM share,
-        and a capacity cap, all apportioned by largest-remainder on the
-        applied weights — and run their normal ``new_vms``/``allocate``
-        logic against that slice.  Slices are disjoint by construction,
-        so no job can be dispatched by two partitions and no VM assigned
-        twice; the audit monitor re-checks both anyway.
-
-        Deliberate simplifications (documented in docs/ARCHITECTURE.md):
-        provisioning demands are summed into one lease request (the
-        provider's fault/spot machinery sees one request per round, as
-        in the single-winner path), the round's *winner* (entry 0)
-        keeps answering the boundary keep-idle question via
-        ``_last_policy``, and jobs no partition could structurally start
-        — wider than every partition's cap, or wider than their own
-        partition's idle allotment this round — are scheduled by the
-        winner in a whole-fleet pass over the idle VMs the partitions
-        left unused, so fleet-wide jobs cannot livelock behind the
-        partition boundaries.
-        """
-        alloc_cfg = getattr(self.config, "alloc", None)
-        seed = alloc_cfg.seed if alloc_cfg is not None else 0
-        weights = [weight for _, weight in entries]
-
-        caps = largest_remainder(self.provider.config.max_vms, weights, seed=seed)
+        # Allocation.  VMs under a preemption notice are excluded: their
+        # grace window is closing and a job started now would just die.
         idle = self.provider.idle_vms()
         if self._doomed:
             idle = [vm for vm in idle if vm.vm_id not in self._doomed]
-        idle = sorted(idle, key=lambda vm: vm.vm_id)
-        idle_shares = largest_remainder(len(idle), weights, seed=seed)
-        busy_shares = largest_remainder(ctx.busy, weights, seed=seed)
-        booting = len(self.provider.booting_vms())
-        booting_shares = largest_remainder(booting, weights, seed=seed)
-
-        # Queue split: wide jobs (procs > every partition cap) go to the
-        # whole-fleet pass below; the rest are dealt out contiguously by
-        # queue share, except that a job too wide for its nominal
-        # partition is diverted to the widest one.
-        cap_widest = max(caps)
-        widest = caps.index(cap_widest)
-        wide_idx = [i for i, job in enumerate(self.queue) if job.procs > cap_widest]
-        narrow_idx = [i for i, job in enumerate(self.queue) if job.procs <= cap_widest]
-        queue_shares = largest_remainder(len(narrow_idx), weights, seed=seed)
-        assigned: list[list[int]] = [[] for _ in entries]
-        at = 0
-        for p, share in enumerate(queue_shares):
-            for qi in narrow_idx[at : at + share]:
-                target = p if self.queue[qi].procs <= caps[p] else widest
-                assigned[target].append(qi)
-            at += share
-
-        period = self.provider.billing.period
-        started: list[Job] = []
-        started_vm_ids: set[int] = set()
-        double_dispatch = False  # impossible by construction; audited anyway
-        i_at = b_at = 0
-        n_new_total = 0
-        partition_info: list[dict] = []
-
-        def dispatch(policy: CombinedPolicy, sub_ctx: SchedContext,
-                     sub_queue: list[Job], sub_idle: list[VM]) -> list[int]:
-            nonlocal double_dispatch
-            dispatched: list[int] = []
+        if idle and self.queue:
+            period = self.provider.billing.period
             views = [
-                IdleVM(
-                    vm_id=vm.vm_id,
-                    remaining_paid=self.provider.remaining_paid(vm, now) or period,
-                )
-                for vm in sub_idle
+                IdleVM(vm_id=vm.vm_id, remaining_paid=self.provider.remaining_paid(vm, now) or period)
+                for vm in idle
             ]
-            by_id = {vm.vm_id: vm for vm in sub_idle}
-            for alloc in policy.allocate(sub_ctx, views, period):
-                job = sub_queue[alloc.queue_index]
+            by_id = {vm.vm_id: vm for vm in idle}
+            allocations = policy.allocate(ctx, views, period)
+            started: list[Job] = []
+            for alloc in allocations:
+                job = self.queue[alloc.queue_index]
                 finish = now + self._remaining_runtime(job)
                 vms = [by_id[vid] for vid in alloc.vm_ids]
-                if job.state is JobState.RUNNING or any(
-                    vm.vm_id in started_vm_ids for vm in vms
-                ):
-                    double_dispatch = True
-                    continue
                 for vm in vms:
                     self._cancel_boundary(vm)
                     vm.assign(job.job_id, finish)
-                    started_vm_ids.add(vm.vm_id)
                 self._vms_of_job[job.job_id] = vms
                 job.state = JobState.RUNNING
                 job.start_time = now
@@ -756,121 +606,15 @@ class ClusterEngine:
                     finish, EventKind.JOB_FINISH, job
                 )
                 started.append(job)
-                dispatched.append(job.job_id)
-            return dispatched
+            if started:
+                started_ids = {job.job_id for job in started}
+                self.queue = [j for j in self.queue if j.job_id not in started_ids]
 
-        for p, (policy, weight) in enumerate(entries):
-            sub_queue = [self.queue[qi] for qi in assigned[p]]
-            sub_idle = idle[i_at : i_at + idle_shares[p]]
-            sub_frees = (
-                list(ctx.busy_free_times[b_at : b_at + busy_shares[p]])
-                if ctx.busy_free_times is not None
-                else None
-            )
-            rented_p = len(sub_idle) + busy_shares[p] + booting_shares[p]
-            sub_ctx = SchedContext(
-                now=now,
-                queue=sub_queue,
-                waits=[ctx.waits[qi] for qi in assigned[p]],
-                runtimes=[ctx.runtimes[qi] for qi in assigned[p]],
-                rented=rented_p,
-                available=rented_p - busy_shares[p],
-                busy=busy_shares[p],
-                max_vms=caps[p],
-                busy_free_times=sub_frees,
-                spot_price=ctx.spot_price,
-            )
-            i_at += idle_shares[p]
-            b_at += busy_shares[p]
-
-            dispatched: list[int] = []
-            if sub_queue:
-                n_new_total += max(0, min(policy.new_vms(sub_ctx), caps[p] - rented_p))
-                if sub_idle:
-                    dispatched = dispatch(policy, sub_ctx, sub_queue, sub_idle)
-            partition_info.append(
-                {
-                    "policy": policy.name,
-                    "weight": weight,
-                    "cap": caps[p],
-                    "queue": len(assigned[p]),
-                    "idle": idle_shares[p],
-                    "started": dispatched,
-                }
-            )
-
-        # Whole-fleet pass: the winner schedules, over the idle VMs no
-        # partition used, the jobs no partition *could* start — wide
-        # jobs (wider than every cap) plus jobs wider than their own
-        # partition's idle allotment this round.  A partition can only
-        # hand a policy ``idle_shares[p]`` machines, so a job needing
-        # more provably cannot start there; without this pass such jobs
-        # livelock behind the partition boundaries even though the
-        # pooled fleet could run them.  Jobs a partition could have
-        # started but chose to hold stay held — the pass rescues only
-        # the structurally starved.
-        pooled_idx = list(wide_idx)
-        for p, _ in enumerate(entries):
-            pooled_idx.extend(
-                qi
-                for qi in assigned[p]
-                if self.queue[qi].state is not JobState.RUNNING
-                and self.queue[qi].procs > idle_shares[p]
-            )
-        pooled_started: list[int] = []
-        if pooled_idx:
-            winner = entries[0][0]
-            pooled_ctx = SchedContext(
-                now=now,
-                queue=[self.queue[qi] for qi in pooled_idx],
-                waits=[ctx.waits[qi] for qi in pooled_idx],
-                runtimes=[ctx.runtimes[qi] for qi in pooled_idx],
-                rented=ctx.rented,
-                available=ctx.available,
-                busy=ctx.busy,
-                max_vms=ctx.max_vms,
-                busy_free_times=ctx.busy_free_times,
-                spot_price=ctx.spot_price,
-            )
-            if wide_idx:
-                # Truly wide jobs have no partition demanding VMs on
-                # their behalf; starved-but-assigned jobs already did.
-                n_new_total += max(0, winner.new_vms(pooled_ctx))
-            free_idle = [vm for vm in idle if vm.vm_id not in started_vm_ids]
-            if free_idle:
-                pooled_started = dispatch(
-                    winner, pooled_ctx, pooled_ctx.queue, free_idle
-                )
-
-        # One aggregate lease request, as in the single-winner path (the
-        # provider clamps to the global cap).
-        if n_new_total > 0:
-            if self._spot_market is not None:
-                self._provision_spot(sim, entries[0][0], ctx, n_new_total, now)
-            else:
-                self._provision(sim, n_new_total, now)
-
-        if started:
-            started_ids = {job.job_id for job in started}
-            self.queue = [j for j in self.queue if j.job_id not in started_ids]
-
-        self._alloc_rounds += 1
-        self._alloc_round_info = {
-            "weights": weights,
-            "caps": caps,
-            "queue_shares": [len(a) for a in assigned],
-            "wide_jobs": len(wide_idx),
-            "pooled_jobs": len(pooled_idx),
-            "idle_shares": idle_shares,
-            "max_vms": self.provider.config.max_vms,
-            "queue_len": len(ctx.queue),
-            "idle_len": len(idle),
-            "started_jobs": [job.job_id for job in started],
-            "started_vms": sorted(started_vm_ids),
-            "double_dispatch": double_dispatch,
-            "pooled_started": pooled_started,
-            "partitions": partition_info,
-        }
+        self._release_surplus(sim)
+        if self.queue:
+            self._tick_event = sim.schedule_after(self.config.tick, EventKind.SCHEDULE_TICK)
+        if self.audit is not None:
+            self.audit.check_round(self)
 
     def _on_vm_ready(self, sim: Simulator, event: Event) -> None:
         vm: VM = event.payload
@@ -1557,11 +1301,6 @@ class ClusterEngine:
             spot_stats.spot_charged_seconds = self.provider.spot_charged_seconds
         is_portfolio = isinstance(self.scheduler, PortfolioScheduler)
         invocations = self.scheduler.invocations if is_portfolio else 0
-        alloc_summary = None
-        if is_portfolio:
-            alloc_summary = self.scheduler.alloc_summary()
-            if alloc_summary is not None:
-                alloc_summary["rounds"] = getattr(self, "_alloc_rounds", 0)
         wall = (
             self._wall_accum + time.perf_counter() - self._segment_began
         )
@@ -1611,7 +1350,6 @@ class ClusterEngine:
             profile=profile_summary,
             trace=trace_summary,
             spot=spot_stats,
-            alloc=alloc_summary,
         )
 
     def run(self) -> ExperimentResult:

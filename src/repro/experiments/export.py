@@ -82,11 +82,6 @@ def result_to_dict(result: ExperimentResult, include_records: bool = False) -> d
     spot = getattr(result, "spot", None)
     if spot is not None:
         out["spot"] = spot.to_dict()
-    # Fractional-fleet allocation summary exports only for k > 1 runs;
-    # single-winner exports carry no "alloc" key at all.
-    alloc = getattr(result, "alloc", None)
-    if alloc is not None:
-        out["alloc"] = alloc
     if include_records:
         out["records"] = [
             {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.workload.job import BOUNDED_SLOWDOWN_BOUND
 
-__all__ = ["bounded_slowdown", "bounded_slowdown_batch"]
+__all__ = ["bounded_slowdown"]
 
 
 def bounded_slowdown(
@@ -28,26 +28,3 @@ def bounded_slowdown(
         raise ValueError(f"bound must be > 0, got {bound}")
     denom = max(runtime, bound)
     return max(1.0, (wait + denom) / denom)
-
-
-def bounded_slowdown_batch(waits, runtimes, bound: float = BOUNDED_SLOWDOWN_BOUND):
-    """Vectorised :func:`bounded_slowdown` over parallel arrays.
-
-    Every operation is elementwise (``maximum``, ``+``, ``/`` — no
-    reductions), so each output element is the bit-identical IEEE-754
-    result of the scalar function on the same inputs; callers that need a
-    reproducible sum must accumulate the returned array themselves in a
-    defined order.  Inputs are validated in bulk rather than per element.
-    """
-    import numpy as np
-
-    waits = np.asarray(waits, dtype=np.float64)
-    runtimes = np.asarray(runtimes, dtype=np.float64)
-    if waits.size and float(waits.min()) < 0:
-        raise ValueError("waits must all be >= 0")
-    if runtimes.size and float(runtimes.min()) < 0:
-        raise ValueError("runtimes must all be >= 0")
-    if bound <= 0:
-        raise ValueError(f"bound must be > 0, got {bound}")
-    denom = np.maximum(runtimes, bound)
-    return np.maximum(1.0, (waits + denom) / denom)

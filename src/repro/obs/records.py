@@ -30,12 +30,6 @@ Record kinds
 ``failover``
     The portfolio scheduler hit its quarantine cap and permanently
     switched to its safe policy.
-``alloc``
-    Fractional-fleet allocation event (``repro.alloc``, one per
-    selection round when ``k > 1``): the allocator's ``target``
-    weights, the ``applied`` weights after rebalancer hysteresis,
-    whether the fleet ``moved``, the L∞ ``drift``, and cumulative
-    ``rebalances`` / ``holds`` counters.
 ``preempt``
     Spot preemption lifecycle (hostile-cloud extension): ``event`` is
     ``notice`` (grace window opens; carries ``kill_at``) or ``kill``
@@ -60,7 +54,7 @@ meaning.
 from __future__ import annotations
 
 __all__ = ["TRACE_SCHEMA", "ROUND", "RUN_START", "RUN_END", "VM", "CHARGE",
-           "FAILOVER", "PROFILE", "PREEMPT", "BROWNOUT", "BREAKER", "ALLOC",
+           "FAILOVER", "PROFILE", "PREEMPT", "BROWNOUT", "BREAKER",
            "RECORD_KINDS"]
 
 #: Bump only when the meaning of existing fields changes; adding fields
@@ -77,7 +71,6 @@ RUN_END = "run_end"
 PREEMPT = "preempt"
 BROWNOUT = "brownout"
 BREAKER = "breaker"
-ALLOC = "alloc"
 
 RECORD_KINDS = (RUN_START, ROUND, VM, CHARGE, FAILOVER, PROFILE, RUN_END,
-                PREEMPT, BROWNOUT, BREAKER, ALLOC)
+                PREEMPT, BROWNOUT, BREAKER)

@@ -28,7 +28,6 @@ import numpy as np
 from repro.metrics.report import format_table
 from repro.metrics.timeseries import sparkline
 from repro.obs.records import (
-    ALLOC,
     CHARGE,
     FAILOVER,
     PROFILE,
@@ -213,34 +212,6 @@ def render_trace_report(
             f"{r.get('safe_policy', '?')} after "
             f"{r.get('consecutive_quarantines', '?')} consecutive quarantines"
         )
-
-    allocs = trace.of_kind(ALLOC)
-    if allocs:
-        last = allocs[-1]
-        moved = sum(1 for r in allocs if r.get("moved"))
-        out.append("")
-        out.append(
-            f"fleet allocation: {len(allocs)} allocation rounds, "
-            f"{last.get('rebalances', moved)} rebalances, "
-            f"{last.get('holds', len(allocs) - moved)} holds"
-        )
-        # Compact weights timeline: one line per rebalance (held rounds
-        # keep the previous split and would only repeat it).
-        shown_moves = [r for r in allocs if r.get("moved")][:max_switches]
-        for r in shown_moves:
-            weights = r.get("applied")
-            if not isinstance(weights, dict):
-                continue
-            split = ", ".join(
-                f"{name}={float(w):.2f}" for name, w in weights.items()
-            )
-            out.append(
-                f"  t={_fmt_time(float(r.get('t', 0.0))):>7} "
-                f"round={r.get('round', '?'):<6} {split}"
-            )
-        remaining = moved - len(shown_moves)
-        if remaining > 0:
-            out.append(f"  ... {remaining} more rebalances")
 
     out.append("")
     for key, label in (("queue", "queue"), ("fleet", "fleet")):

@@ -34,7 +34,7 @@ class TenantBudget:
     weight:
         Fair-share weight for the per-round VM split: tenants with
         queued demand divide the global cap in proportion to their
-        weights via :func:`repro.alloc.split.largest_remainder`.  The
+        weights via :func:`repro.service.split.largest_remainder`.  The
         default 1.0 for everyone is plain equal fair share.
     """
 

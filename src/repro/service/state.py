@@ -29,12 +29,12 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from repro.alloc.split import largest_remainder
 from repro.cloud.profile import VMSnapshot, profile_from_vms
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler, Scheduler
 from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import policy_by_name
 from repro.service.config import ServiceConfig, TenantBudget
+from repro.service.split import largest_remainder
 from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 
@@ -306,13 +306,13 @@ class ServiceState:
                     vm.busy_until = -1.0
             tenant.completed += len(finished_jobs)
 
-        # Weighted fair share via the same largest-remainder splitter the
-        # fractional-fleet layer uses for per-policy partitions: tenants
-        # with queued demand divide the global cap in proportion to their
-        # budget weights (all 1.0 by default — plain fair share), and the
-        # max(1, ...) floor keeps every demanding tenant schedulable even
-        # when tenants outnumber VMs (the per-tenant scheduler still
-        # clamps against real global headroom).
+        # Weighted fair share via the largest-remainder splitter
+        # (repro.service.split): tenants with queued demand divide the
+        # global cap in proportion to their budget weights (all 1.0 by
+        # default — plain fair share), and the max(1, ...) floor keeps
+        # every demanding tenant schedulable even when tenants outnumber
+        # VMs (the per-tenant scheduler still clamps against real global
+        # headroom).
         demanding = [n for n in names if self.tenants[n].queue]
         shares = (
             dict(

@@ -61,12 +61,6 @@ class TestArgValidation:
         ["run", "--model", "DAS2-fs0", "--api-rate-window", "0"],
         ["run", "--model", "DAS2-fs0", "--breaker-threshold", "0"],
         ["run", "--model", "DAS2-fs0", "--breaker-cooldown", "-300"],
-        ["run", "--model", "DAS2-fs0", "--alloc-k", "0"],
-        ["run", "--model", "DAS2-fs0", "--alloc-method", "argmax"],
-        ["run", "--model", "DAS2-fs0", "--alloc-temperature", "0"],
-        ["run", "--model", "DAS2-fs0", "--alloc-min-weight", "1.5"],
-        ["run", "--model", "DAS2-fs0", "--alloc-max-weight", "-0.1"],
-        ["run", "--model", "DAS2-fs0", "--alloc-rebalance-threshold", "-0.1"],
     ])
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -126,62 +120,6 @@ class TestArgValidation:
         cfg = _spot_config(args)
         assert cfg is not None and cfg.spot_fraction == 0.0
         assert cfg.brownouts_enabled
-
-
-class TestAllocFlags:
-    def test_alloc_knobs_parse_and_default_off(self):
-        from repro.cli import _alloc_config
-
-        args = build_parser().parse_args(["run", "--model", "DAS2-fs0"])
-        assert args.alloc_k == 1
-        assert _alloc_config(args) is None  # the paper's scheduler by default
-        args = build_parser().parse_args([
-            "run", "--model", "DAS2-fs0", "--alloc-k", "3",
-            "--alloc-method", "softmax", "--alloc-temperature", "0.5",
-            "--alloc-min-weight", "0.1", "--alloc-max-weight", "0.8",
-            "--alloc-rebalance-threshold", "0.05", "--seed", "11",
-        ])
-        cfg = _alloc_config(args)
-        assert cfg is not None
-        assert cfg.k == 3
-        assert cfg.method == "softmax"
-        assert cfg.temperature == 0.5
-        assert cfg.min_weight == 0.1
-        assert cfg.max_weight == 0.8
-        assert cfg.rebalance_threshold == 0.05
-        assert cfg.seed == 11
-
-    def test_min_above_max_is_a_usage_error(self):
-        from repro.cli import SystemExit2, _alloc_config
-        from repro.exit_codes import EX_USAGE
-
-        args = build_parser().parse_args([
-            "run", "--model", "DAS2-fs0",
-            "--alloc-min-weight", "0.6", "--alloc-max-weight", "0.4",
-        ])
-        with pytest.raises(SystemExit2) as exc_info:
-            _alloc_config(args)  # rejected even though k=1 leaves it off
-        assert exc_info.value.code == EX_USAGE
-
-    def test_k_above_one_requires_portfolio(self):
-        from repro.cli import SystemExit2, _alloc_config
-        from repro.exit_codes import EX_USAGE
-
-        args = build_parser().parse_args([
-            "run", "--model", "DAS2-fs0", "--policy", "ODA-FCFS-FirstFit",
-            "--alloc-k", "2",
-        ])
-        with pytest.raises(SystemExit2) as exc_info:
-            _alloc_config(args)
-        assert exc_info.value.code == EX_USAGE
-
-    def test_run_with_alloc_prints_summary(self, capsys):
-        assert main([
-            "run", "--model", "DAS2-fs0", "--hours", "4", "--seed", "5",
-            "--alloc-k", "3", "--audit", "strict",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "fleet allocation" in out
 
 
 class TestAuditFlag:

@@ -101,16 +101,19 @@ class TestSnapshotStore:
     def test_unsupported_format_refused(self, tmp_path):
         # Both the top-level manifest AND the generation sidecar must be
         # tampered: the recovery ladder would otherwise (correctly) fall
-        # back to the intact sidecar and load anyway.
-        store = SnapshotStore(self.config(tmp_path))
-        store.write({"a": 1}, sequence=1, sim_time=0.0, events_processed=0)
-        for name in (MANIFEST_NAME, "snap-00000001.meta.json"):
-            path = tmp_path / name
-            raw = json.loads(path.read_text())
-            raw["format"] = 999
-            path.write_text(json.dumps(raw))
-        with pytest.raises(SnapshotError, match="format"):
-            store.load_latest()
+        # back to the intact sidecar and load anyway.  Format 3 predates
+        # the removal of EngineConfig.alloc and must be refused too.
+        for stale in (3, 999):
+            directory = tmp_path / str(stale)
+            store = SnapshotStore(self.config(directory))
+            store.write({"a": 1}, sequence=1, sim_time=0.0, events_processed=0)
+            for name in (MANIFEST_NAME, "snap-00000001.meta.json"):
+                path = directory / name
+                raw = json.loads(path.read_text())
+                raw["format"] = stale
+                path.write_text(json.dumps(raw))
+            with pytest.raises(SnapshotError, match="format"):
+                store.load_latest()
 
     def test_no_tmp_litter_after_write(self, tmp_path):
         store = SnapshotStore(self.config(tmp_path))

@@ -13,7 +13,6 @@ Also covers the satellite fixes of the same PR:
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
 * selector warm-start + round-over-round memoization;
-* the numpy BSD batch;
 * slimmed parallel wave payloads.
 """
 
@@ -28,7 +27,6 @@ from repro.core.online_sim import OnlineSimulator, SimOutcome, _charged, _remain
 from repro.core.selection import TimeConstrainedSelector
 from repro.experiments.engine import ClusterEngine
 from repro.core.scheduler import FixedScheduler
-from repro.metrics.slowdown import bounded_slowdown, bounded_slowdown_batch
 from repro.policies.combined import build_portfolio, policy_by_name
 from repro.policies.spot_aware import spot_portfolio_members
 from repro.sim.clock import VirtualCostClock
@@ -518,7 +516,7 @@ class TestSelectorMemo:
 
 
 # ---------------------------------------------------------------------------
-# kernel plumbing: ctor validation, pickle back-compat, batch BSD
+# kernel plumbing: ctor validation, pickle back-compat, scoring epilogue
 
 
 def test_kernel_ctor_validation():
@@ -542,29 +540,9 @@ def test_old_pickles_without_kernel_attr_default_to_fast():
     assert getattr(clone, "kernel", None) == "fast"
 
 
-def test_bounded_slowdown_batch_matches_scalar_elementwise():
-    import numpy as np
-
-    rng = np.random.default_rng(17)
-    waits = rng.uniform(0, 10_000, size=257)
-    runtimes = rng.uniform(0, 5_000, size=257)
-    batch = bounded_slowdown_batch(waits, runtimes)
-    for i in range(waits.size):
-        assert batch[i] == bounded_slowdown(float(waits[i]), float(runtimes[i]))
-
-
-def test_bounded_slowdown_batch_validates_like_scalar():
-    with pytest.raises(ValueError):
-        bounded_slowdown_batch([-1.0], [10.0])
-    with pytest.raises(ValueError):
-        bounded_slowdown_batch([1.0], [-10.0])
-    with pytest.raises(ValueError):
-        bounded_slowdown_batch([1.0], [10.0], bound=0.0)
-
-
-def test_finalize_batch_path_matches_scalar_path():
-    """Queues past _BATCH_MIN take the numpy epilogue; force both paths
-    on the same inputs via the two kernels and compare."""
+def test_fast_and_reference_kernels_agree_on_a_40_job_queue():
+    """The two kernels score a 40-job queue through their own epilogues
+    (``_score_fast`` vs ``_finalize``); the outcomes must be equal."""
     now = 50.0
     queue = jobs_of(40, procs=1, runtime=90.0)
     waits = [3.0 * i for i in range(40)]

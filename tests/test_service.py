@@ -2,8 +2,9 @@
 
 Covers the four pillars of the service PR: typed admission control,
 the journaled WAL + crash-consistent replay, graceful drain / kill
-switch, and the health surface — plus the doctor and the subprocess
-SIGKILL / SIGTERM behaviour the CI smoke also exercises.
+switch, and the health surface — plus the doctor, the subprocess
+SIGKILL / SIGTERM behaviour the CI smoke also exercises, and the
+largest-remainder splitter behind weighted tenant fair share.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.service.journal import (
 from repro.service.loadgen import ServiceClient, run_loadgen, synthetic_jobs
 from repro.service.metrics import service_prometheus_text
 from repro.service.server import ServiceServer
+from repro.service.split import largest_remainder
 from repro.service.state import (
     SHED_DRAINING,
     SHED_JOURNAL,
@@ -883,3 +885,93 @@ class TestMetricsText:
         )
         assert "repro_service_rounds_total 1" in text
         assert "# TYPE repro_service_vms_in_use gauge" in text
+
+
+class TestLargestRemainder:
+    def test_sum_preserved(self):
+        for total in (0, 1, 7, 64, 101):
+            for weights in ([1.0], [1, 1, 1], [0.5, 0.3, 0.2], [5, 0, 2]):
+                assert sum(largest_remainder(total, weights)) == total
+
+    def test_deterministic(self):
+        a = largest_remainder(10, [1, 1, 1], seed=3)
+        b = largest_remainder(10, [1, 1, 1], seed=3)
+        assert a == b
+
+    def test_seed_breaks_ties(self):
+        splits = {tuple(largest_remainder(10, [1, 1, 1], seed=s)) for s in range(8)}
+        for split in splits:
+            assert sum(split) == 10
+            assert sorted(split) == [3, 3, 4]
+        assert len(splits) > 1  # the tie lands on different positions
+
+    def test_monotone_in_weights(self):
+        shares = largest_remainder(10, [0.5, 0.3, 0.2])
+        assert shares[0] >= shares[1] >= shares[2]
+
+    def test_exact_quotas(self):
+        assert largest_remainder(10, [0.5, 0.3, 0.2]) == [5, 3, 2]
+
+    def test_zero_weight_gets_zero(self):
+        assert largest_remainder(6, [1.0, 0.0, 1.0])[1] == 0
+
+    def test_all_zero_falls_back_to_equal(self):
+        shares = largest_remainder(6, [0.0, 0.0, 0.0])
+        assert sum(shares) == 6
+        assert max(shares) - min(shares) <= 1
+
+    def test_empty_weights(self):
+        assert largest_remainder(0, []) == []
+        with pytest.raises(ValueError, match="no weights"):
+            largest_remainder(3, [])
+
+    def test_negative_inputs_rejected(self):
+        with pytest.raises(ValueError, match="total must be >= 0"):
+            largest_remainder(-1, [1.0])
+        with pytest.raises(ValueError, match="weights must be >= 0"):
+            largest_remainder(3, [1.0, -0.5])
+
+
+class TestServiceWeightedShare:
+    """Per-tenant VM shares follow ``TenantBudget.weight`` through the
+    largest-remainder splitter."""
+
+    def open_record(self, name, weight):
+        budget = TenantBudget(weight=weight)
+        return {"kind": "tenant_open", "tenant": name,
+                "budget": budget.to_dict(), "t": 0.0}
+
+    def submit(self, name, job_id):
+        return {"kind": "submit", "tenant": name, "job_id": job_id,
+                "runtime": 10_000.0, "procs": 1, "t": 0.0}
+
+    def test_weight_validation(self):
+        with pytest.raises(ValueError, match="weight must be > 0"):
+            TenantBudget(weight=0.0)
+
+    def test_weight_round_trips(self):
+        budget = TenantBudget(weight=3.0)
+        assert TenantBudget.from_dict(budget.to_dict()).weight == 3.0
+        assert TenantBudget.from_dict({}).weight == 1.0  # old journals
+
+    def test_weighted_tenant_gets_more_vms(self, tmp_path):
+        from repro.service.config import ServiceConfig
+
+        config = ServiceConfig(
+            socket_path=str(tmp_path / "svc.sock"),
+            journal_dir=str(tmp_path / "journal"),
+            round_interval=0.0,
+            max_total_vms=8,
+            seed=7,
+        )
+        state = ServiceState(config)
+        state.apply(self.open_record("heavy", 3.0))
+        state.apply(self.open_record("light", 1.0))
+        for i in range(1, 9):
+            state.apply(self.submit("heavy", i))
+            state.apply(self.submit("light", 100 + i))
+        state.apply({"kind": "round"})
+        heavy = state.tenants["heavy"].started
+        light = state.tenants["light"].started
+        assert heavy > light > 0
+        assert state.total_rented() <= config.max_total_vms
