@@ -286,9 +286,14 @@ class InvariantMonitor:
             )
 
     def _check_jobs(self, engine: "ClusterEngine", now: float) -> None:
-        counts: dict[JobState, int] = {state: 0 for state in JobState}
-        for job in engine.jobs:
-            counts[job.state] += 1
+        # The census walks every job of the run each round.  ``list.count``
+        # matches enum members by identity in C; a dict keyed by state
+        # would call the Python-level ``Enum.__hash__`` once per job.
+        states = [job.state for job in engine.jobs]
+        queued = states.count(JobState.QUEUED)
+        running = states.count(JobState.RUNNING)
+        finished = states.count(JobState.FINISHED)
+        failed = states.count(JobState.FAILED)
         # Queue ↔ state consistency: the queue holds exactly the QUEUED
         # jobs, each once.
         seen: set[int] = set()
@@ -307,12 +312,11 @@ class InvariantMonitor:
                     f"job {job.job_id} sits in the queue in state "
                     f"{job.state.name}",
                 )
-        if counts[JobState.QUEUED] != len(seen):
+        if queued != len(seen):
             self._emit(
                 "job-conservation",
                 now,
-                f"{counts[JobState.QUEUED]} jobs are QUEUED but the queue "
-                f"holds {len(seen)}",
+                f"{queued} jobs are QUEUED but the queue holds {len(seen)}",
             )
         for job_id in engine._held:
             if engine._jobs_by_id[job_id].state is not JobState.PENDING:
@@ -322,33 +326,33 @@ class InvariantMonitor:
                     f"dependency-held job {job_id} is in state "
                     f"{engine._jobs_by_id[job_id].state.name}",
                 )
-        if counts[JobState.FINISHED] != engine._finished:
+        if finished != engine._finished:
             self._emit(
                 "job-conservation",
                 now,
-                f"{counts[JobState.FINISHED]} jobs are FINISHED but the "
-                f"engine counted {engine._finished} completions",
+                f"{finished} jobs are FINISHED but the engine counted "
+                f"{engine._finished} completions",
             )
-        if counts[JobState.FINISHED] != len(engine.metrics.records):
+        if finished != len(engine.metrics.records):
             self._emit(
                 "metrics-record-mismatch",
                 now,
-                f"{counts[JobState.FINISHED]} jobs are FINISHED but the "
-                f"collector holds {len(engine.metrics.records)} records",
+                f"{finished} jobs are FINISHED but the collector holds "
+                f"{len(engine.metrics.records)} records",
             )
-        if counts[JobState.FAILED] != engine.jobs_failed:
+        if failed != engine.jobs_failed:
             self._emit(
                 "job-conservation",
                 now,
-                f"{counts[JobState.FAILED]} jobs are FAILED but the engine "
-                f"counted {engine.jobs_failed}",
+                f"{failed} jobs are FAILED but the engine counted "
+                f"{engine.jobs_failed}",
             )
-        if counts[JobState.RUNNING] != len(engine._vms_of_job):
+        if running != len(engine._vms_of_job):
             self._emit(
                 "job-conservation",
                 now,
-                f"{counts[JobState.RUNNING]} jobs are RUNNING but "
-                f"{len(engine._vms_of_job)} hold VM bindings",
+                f"{running} jobs are RUNNING but {len(engine._vms_of_job)} "
+                "hold VM bindings",
             )
 
     def _check_fleet(self, engine: "ClusterEngine", now: float) -> None:

@@ -260,18 +260,24 @@ class CloudProvider:
         return self.config.max_vms - self.leased_count()
 
     def vms(self) -> list[VM]:
-        """All live VMs (stable id order)."""
-        return [self._fleet[k] for k in sorted(self._fleet)]
+        """All live VMs, in id order.
+
+        ``_fleet`` keeps insertion order, and that is id order: only
+        :meth:`lease` inserts, with ids from the monotone ``_next_id``
+        counter.  Deleting an entry or pickling the dict (a durability
+        snapshot) never reorders the rest, so no view re-sorts.
+        """
+        return list(self._fleet.values())
 
     def idle_vms(self) -> list[VM]:
-        """Usable idle VMs, in stable id order."""
-        return [vm for vm in self.vms() if vm.state is VMState.IDLE]
+        """Usable idle VMs, in id order."""
+        return [vm for vm in self._fleet.values() if vm.state is VMState.IDLE]
 
     def booting_vms(self) -> list[VM]:
-        return [vm for vm in self.vms() if vm.state is VMState.BOOTING]
+        return [vm for vm in self._fleet.values() if vm.state is VMState.BOOTING]
 
     def busy_vms(self) -> list[VM]:
-        return [vm for vm in self.vms() if vm.state is VMState.BUSY]
+        return [vm for vm in self._fleet.values() if vm.state is VMState.BUSY]
 
     def available_count(self) -> int:
         """VMs that are idle or will become usable without new leases

@@ -10,7 +10,7 @@ winner applied in between, exactly the paper's §6.4 parameterisation.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,14 @@ class Scheduler(abc.ABC):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        capture_profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
-        """The policy to apply at this tick (queue is non-empty)."""
+        """The policy to apply at this tick (queue is non-empty).
+
+        ``capture_profile`` snapshots the cloud when called.  Taking the
+        snapshot costs a walk over the live fleet, so a scheduler calls
+        it only on the rounds that read it.
+        """
 
     def describe(self) -> str:
         return type(self).__name__
@@ -62,7 +67,7 @@ class FixedScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        capture_profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         return self.policy
 
@@ -235,7 +240,7 @@ class PortfolioScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        capture_profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         if self.failed_over:
             return self.safe_policy
@@ -245,6 +250,7 @@ class PortfolioScheduler(Scheduler):
             or tick_index - self._last_selection_tick >= self.selection_period
         )
         if due and queue:
+            profile = capture_profile()
             outcome = self.selector.select(queue, waits, runtimes, profile)
             self._pending_outcome = outcome
             if (
@@ -320,7 +326,7 @@ class RandomScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        capture_profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         due = (
             self._active is None
@@ -359,7 +365,7 @@ class RoundRobinScheduler(Scheduler):
         queue: Sequence[Job],
         waits: Sequence[float],
         runtimes: Sequence[float],
-        profile: CloudProfile,
+        capture_profile: Callable[[], CloudProfile],
     ) -> CombinedPolicy:
         due = (
             self._active is None

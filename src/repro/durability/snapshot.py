@@ -77,7 +77,10 @@ MANIFEST_NAME = "MANIFEST.json"
 #:    slots dataclasses whose ``__setstate__`` zips fields with the
 #:    pickled values, so a format-3 snapshot of a k > 1 run would
 #:    otherwise resume silently as a single-winner run.
-SNAPSHOT_FORMAT = 4
+#: 5: the event queue's heap holds ``(time, priority, seq, event)``
+#:    tuples instead of bare events; a format-4 heap would fail on the
+#:    first pop after resume.
+SNAPSHOT_FORMAT = 5
 
 
 class SnapshotError(RuntimeError):

@@ -27,6 +27,7 @@ export diffs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -533,12 +534,9 @@ class ClusterEngine:
             ),
         )
 
-    def _on_tick(self, sim: Simulator, event: Event) -> None:
-        self._tick_event = None
-        if not self.queue:
-            return  # chain pauses; the next arrival restarts it
-        now = sim.now
-        ctx = self._build_context(now)
+    def _capture_profile(self, now: float) -> CloudProfile:
+        """The fleet snapshot Algorithm 1 simulates from, with the spot
+        market's current price when one is running."""
         profile = CloudProfile.capture(self.provider, now)
         if self._spot_market is not None:
             price = self._spot_market.price_at(now)
@@ -547,8 +545,17 @@ class ClusterEngine:
                 spot_price=price,
                 spot_price_effective=self.config.spot.effective_price(price),
             )
+        return profile
+
+    def _on_tick(self, sim: Simulator, event: Event) -> None:
+        self._tick_event = None
+        if not self.queue:
+            return  # chain pauses; the next arrival restarts it
+        now = sim.now
+        ctx = self._build_context(now)
         policy = self.scheduler.active_policy(
-            self._tick_index, self.queue, ctx.waits, ctx.runtimes, profile
+            self._tick_index, self.queue, ctx.waits, ctx.runtimes,
+            functools.partial(self._capture_profile, now),
         )
         self._last_policy = policy
         self._tick_index += 1
@@ -1088,16 +1095,15 @@ class ClusterEngine:
         """
         if self.config.release_rule != "eager":
             return
-        idle = [vm for vm in self.provider.idle_vms() if not vm.reserved]
+        all_idle = self.provider.idle_vms()
+        idle = [vm for vm in all_idle if not vm.reserved]
         if not idle:
             return
         now = self.sim.now
         demand = sum(job.procs for job in self.queue)
         # Reserved idle VMs serve demand first, so on-demand surplus is
         # measured against what they cannot cover.
-        reserved_idle = sum(
-            1 for vm in self.provider.idle_vms() if vm.reserved
-        )
+        reserved_idle = len(all_idle) - len(idle)
         surplus = max(0, len(idle) - max(0, demand - reserved_idle))
         if surplus <= 0:
             return

@@ -29,7 +29,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from repro.cloud.profile import VMSnapshot, profile_from_vms
+from repro.cloud.profile import CloudProfile, VMSnapshot, profile_from_vms
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler, Scheduler
 from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import policy_by_name
@@ -339,25 +339,28 @@ class ServiceState:
 
     def _schedule_tenant(self, tenant: TenantState, now: float, share: int) -> None:
         cap = min(share, self.max_total_vms)
-        profile = profile_from_vms(
-            now,
-            [
-                VMSnapshot(
-                    vm_id=vm.vm_id,
-                    lease_time=vm.lease_t,
-                    ready_time=vm.lease_t,  # service VMs boot instantly
-                    busy_until=vm.busy_until,
-                )
-                for vm in sorted(tenant.vms, key=lambda v: v.vm_id)
-            ],
-            max_vms=cap,
-            boot_delay=0.0,
-            billing_period=BILLING_PERIOD,
-        )
+
+        def capture_profile() -> CloudProfile:
+            return profile_from_vms(
+                now,
+                [
+                    VMSnapshot(
+                        vm_id=vm.vm_id,
+                        lease_time=vm.lease_t,
+                        ready_time=vm.lease_t,  # service VMs boot instantly
+                        busy_until=vm.busy_until,
+                    )
+                    for vm in sorted(tenant.vms, key=lambda v: v.vm_id)
+                ],
+                max_vms=cap,
+                boot_delay=0.0,
+                billing_period=BILLING_PERIOD,
+            )
+
         waits = [now - job.submit_time for job in tenant.queue]
         runtimes = [job.runtime for job in tenant.queue]
         policy = self._scheduler_for(tenant.name).active_policy(
-            self.rounds, tenant.queue, waits, runtimes, profile
+            self.rounds, tenant.queue, waits, runtimes, capture_profile
         )
 
         busy = len(tenant.busy_vms(now))

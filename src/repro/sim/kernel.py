@@ -22,6 +22,11 @@ Handler = Callable[["Simulator", Event], None]
 class EventQueue:
     """A time-ordered priority queue of :class:`Event` objects.
 
+    Heap entries are ``(time, priority, seq, event)`` tuples: the order
+    key of :meth:`Event.sort_key`, taken once at push, leads, so sifting
+    compares floats and ints in C.  ``seq`` is unique, so a comparison
+    never reaches the event itself.
+
     Cancellation is lazy: :meth:`Event.cancel` marks the event, and the
     queue silently discards cancelled entries when they surface.  A live
     counter (maintained on push/pop/cancel/clear via the event's back
@@ -30,7 +35,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._live = 0
 
     def __len__(self) -> int:
@@ -52,7 +57,7 @@ class EventQueue:
         if event.owner is not None and event.owner is not self:
             raise ValueError("event already belongs to another queue")
         event.owner = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (*event.sort_key(), event))
         self._live += 1
         return event
 
@@ -65,7 +70,7 @@ class EventQueue:
             If the queue holds no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             event.owner = None
             if not event.cancelled:
                 self._live -= 1
@@ -74,9 +79,9 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Timestamp of the earliest live event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).owner = None
-        return self._heap[0].time if self._heap else None
+        while self._heap and self._heap[0][3].cancelled:
+            heapq.heappop(self._heap)[3].owner = None
+        return self._heap[0][0] if self._heap else None
 
     def cancel(self, event: Event) -> None:
         """Cancel *event*; equivalent to ``event.cancel()`` (kept for API
@@ -84,7 +89,7 @@ class EventQueue:
         event.cancel()
 
     def clear(self) -> None:
-        for event in self._heap:
+        for _, _, _, event in self._heap:
             event.owner = None
         self._heap.clear()
         self._live = 0

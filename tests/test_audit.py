@@ -29,7 +29,9 @@ from repro.audit import (
 )
 from repro.audit.ledger import ChargeEntry, CompletionEntry
 from repro.cloud.billing import HourlyBilling
-from repro.cloud.vm import VM
+from repro.cloud.provider import ProviderConfig
+from repro.cloud.spot import SpotConfig
+from repro.cloud.vm import VM, VMState
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.durability import DurableRunner, RunInterrupted, SnapshotConfig
 from repro.experiments.engine import ClusterEngine, EngineConfig
@@ -322,6 +324,165 @@ class TestMutations:
         assert not report.ok
         diverged = {c.metric for c in report.oracle_checks if not c.ok}
         assert "rj_seconds" in diverged
+
+
+def steady_engine(**config_kwargs) -> ClusterEngine:
+    """A strict-audited engine parked where every round changes nothing.
+
+    Job 1 runs on VM 0 for 10 h.  Job 2 needs both VMs the cap of 2
+    allows, so it waits behind job 1 while VM 1 idles.  Job 3 arrives at
+    8 h.  Until then each 20 s round only moves the clock, so a
+    corruption made between ``advance()`` calls is still in place when
+    the next round's census runs.
+    """
+    jobs = jobs_from(
+        [(1, 0.0, 10 * HOUR, 1), (2, 0.0, 600.0, 2), (3, 8 * HOUR, 600.0, 1)]
+    )
+    engine = make_engine(jobs, provider=ProviderConfig(max_vms=2), **config_kwargs)
+    engine.start()
+    while engine.sim.now < 600.0:
+        engine.advance(max_events=1)
+    vm0, vm1 = engine.provider.vms()
+    assert (vm0.state, vm0.job_id) == (VMState.BUSY, 1)
+    assert (vm1.state, vm1.job_id) == (VMState.IDLE, None)
+    assert [job.job_id for job in engine.queue] == [2]
+    assert engine._jobs_by_id[3].state is JobState.PENDING
+    return engine
+
+
+def _set_state(job_id, state):
+    def mutate(engine):
+        engine._jobs_by_id[job_id].state = state
+    return mutate
+
+
+def _bump(owner, attr, by=1):
+    def mutate(engine):
+        target = engine if owner is None else getattr(engine, owner)
+        setattr(target, attr, getattr(target, attr) + by)
+    return mutate
+
+
+def _bind(job_id, vms):
+    def mutate(engine):
+        engine._vms_of_job[job_id] = vms(engine)
+    return mutate
+
+
+def _vm1(state=None, job_id=None):
+    def mutate(engine):
+        vm = engine.provider._fleet[1]
+        if state is not None:
+            vm.state = state
+        vm.job_id = job_id
+    return mutate
+
+
+def _double_queue(engine):
+    engine.queue.append(engine.queue[0])
+
+
+def _hold_running_job(engine):
+    engine._held.add(1)
+
+
+def _rebind_to_queued_job(engine):
+    engine._vms_of_job[2] = engine._vms_of_job.pop(1)
+
+
+def _lease_past_cap(engine):
+    now = engine.sim.now
+    engine.provider._fleet[99] = VM(vm_id=99, lease_time=now, ready_time=now + 120.0)
+
+
+def _resurrect_vm1(engine):
+    vm = engine.provider._fleet[1]
+    engine.provider.terminate(vm, engine.sim.now)
+    vm.state = VMState.IDLE
+    engine.provider._fleet[vm.vm_id] = vm
+
+
+def _reclaim_without_notice(engine):
+    engine.spot_stats.preemptions += 1
+    engine.audit._preempt_charges += 1
+
+
+def _dead_vm(engine):
+    return [VM(vm_id=99, lease_time=0.0, ready_time=0.0, state=VMState.TERMINATED)]
+
+
+# Spot on, but never used: no spot share, no reclaims.
+IDLE_SPOT = dict(spot=SpotConfig(spot_fraction=0.0, preempt_rate_per_hour=0.0))
+
+#: (mutation, engine config, violation kind, message fragment): one row
+#: per comparison ``check_round`` makes.
+ROUND_MUTATIONS = [
+    pytest.param(_set_state(3, JobState.QUEUED), {}, "job-conservation",
+                 "jobs are QUEUED but the queue holds", id="queued-count"),
+    pytest.param(_bump(None, "_finished"), {}, "job-conservation",
+                 "jobs are FINISHED but the engine counted", id="finished-count"),
+    pytest.param(_bump(None, "jobs_failed"), {}, "job-conservation",
+                 "jobs are FAILED but the engine counted", id="failed-count"),
+    pytest.param(_set_state(3, JobState.RUNNING), {}, "job-conservation",
+                 "jobs are RUNNING but 1 hold VM bindings", id="running-count"),
+    pytest.param(_double_queue, {}, "job-double-queued",
+                 "appears twice in the queue", id="double-queued"),
+    pytest.param(_set_state(2, JobState.PENDING), {}, "queued-job-bad-state",
+                 "sits in the queue in state PENDING", id="queued-bad-state"),
+    pytest.param(_hold_running_job, {}, "held-job-bad-state",
+                 "is in state RUNNING", id="held-bad-state"),
+    pytest.param(_rebind_to_queued_job, {}, "binding-without-running-job",
+                 "job 2 in state QUEUED", id="binding-without-running-job"),
+    pytest.param(_bind(1, lambda engine: []), {}, "job-vm-count-mismatch",
+                 "needs 1 VMs but is bound to 0", id="vm-count"),
+    pytest.param(_bind(1, _dead_vm), {}, "job-on-released-vm",
+                 "bound to terminated vm 99", id="released-vm"),
+    pytest.param(_bind(1, lambda engine: [engine.provider._fleet[1]]), {},
+                 "vm-binding-mismatch", "in state IDLE serving job None",
+                 id="binding-mismatch"),
+    pytest.param(_lease_past_cap, {}, "fleet-over-cap",
+                 "3 VMs leased, above the cap 2", id="over-cap"),
+    pytest.param(_vm1(VMState.TERMINATED), {}, "terminated-vm-in-fleet",
+                 "vm 1 is TERMINATED", id="terminated-in-fleet"),
+    pytest.param(_resurrect_vm1, {}, "vm-resurrected",
+                 "vm 1 was billed for termination", id="resurrected"),
+    pytest.param(_vm1(VMState.BUSY, job_id=2), {}, "busy-vm-unbound",
+                 "busy vm 1 serves job 2", id="busy-unbound"),
+    pytest.param(_vm1(job_id=2), {}, "non-busy-vm-with-job",
+                 "vm 1 in state IDLE still holds job 2", id="idle-with-job"),
+    pytest.param(_vm1(VMState.BUSY, job_id=1), {}, "busy-count-mismatch",
+                 "2 VMs are BUSY but jobs hold 1", id="busy-count"),
+    pytest.param(_bump("provider", "charged_seconds_total", -HOUR), {},
+                 "rv-accrual-regression", "charged total fell",
+                 id="rv-regression"),
+    pytest.param(_bump("spot_stats", "preemptions"), IDLE_SPOT,
+                 "preemption-conservation", "the billing hook saw 0",
+                 id="preempt-vs-settlements"),
+    pytest.param(_reclaim_without_notice, IDLE_SPOT, "preemption-conservation",
+                 "only 0 preemption notices", id="preempt-vs-notices"),
+]
+
+
+class TestRoundCheckMutations:
+    """Every comparison of the per-round census must fire, in strict
+    mode, on the round right after the books are corrupted."""
+
+    @pytest.mark.parametrize("mutate, config, kind, fragment", ROUND_MUTATIONS)
+    def test_corruption_raises_on_next_round(self, mutate, config, kind, fragment):
+        engine = steady_engine(**config)
+        rounds = engine.audit.rounds_audited
+        mutate(engine)
+        with pytest.raises(InvariantViolation) as exc_info:
+            engine.advance()
+        violation = exc_info.value.violation
+        assert violation.kind == kind
+        assert fragment in violation.message
+        assert engine.audit.rounds_audited == rounds + 1
+
+    def test_untouched_engine_stays_clean(self):
+        engine = steady_engine(**IDLE_SPOT)
+        engine.advance()
+        assert engine.finalize().audit.ok
 
 
 FAULT_KWARGS = dict(

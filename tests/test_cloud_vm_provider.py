@@ -1,6 +1,9 @@
 """Unit tests for VM lifecycle and the EC2-style provider."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.billing import HOUR
 from repro.cloud.provider import CloudProvider, ProviderConfig
@@ -171,3 +174,77 @@ class TestProvider:
         (vm,) = p.lease(1, 100.0)
         assert p.remaining_paid(vm, 100.0) == HOUR
         assert p.next_boundary(vm, 100.0) == 100.0 + HOUR
+
+
+#: Per-VM operations and the VMs each may act on.
+VM_OPS = {
+    "boot": lambda vm: vm.state is VMState.BOOTING,
+    "assign": lambda vm: vm.state is VMState.IDLE,
+    "release": lambda vm: vm.state is VMState.BUSY,
+    "terminate": lambda vm: not vm.reserved and vm.state is not VMState.BUSY,
+    "preempt": lambda vm: vm.spot and vm.state is not VMState.BUSY,
+}
+
+FLEET_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "lease", *VM_OPS, "finalize_reserved", "settle_stragglers", "pickle",
+        ]),
+        st.integers(min_value=0, max_value=1_000),
+        st.sampled_from(["on-demand", "reserved", "spot"]),
+    ),
+    max_size=80,
+)
+
+
+def sorted_ids(provider: CloudProvider, state: VMState | None) -> list[int]:
+    """What the fleet views returned when each call re-sorted the fleet."""
+    fleet = provider._fleet
+    vms = [fleet[k] for k in sorted(fleet)]
+    return [vm.vm_id for vm in vms if state is None or vm.state is state]
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLEET_OPS)
+def test_fleet_views_walk_in_id_order(ops):
+    """The views read ``_fleet`` in insertion order; that must stay id
+    order whatever leases, settlements and snapshots come in between."""
+    provider = CloudProvider(ProviderConfig(max_vms=12))
+    now = 0.0
+    for op, n, tier in ops:
+        now += 150.0  # past every earlier lease's boot delay
+        if op in VM_OPS:
+            pool = [vm for vm in provider.vms() if VM_OPS[op](vm)]
+            if not pool:
+                continue
+            vm = pool[n % len(pool)]
+            if op == "boot":
+                vm.boot_complete(now)
+            elif op == "assign":
+                vm.assign(n, now + 600.0)
+            elif op == "release":
+                vm.release_job()
+            elif op == "terminate":
+                provider.terminate(vm, now)
+            else:
+                provider.preempt(vm, now)
+        elif op == "lease":
+            spot = tier == "spot"
+            provider.lease(n % 4 + 1, now, reserved=tier == "reserved",
+                           spot=spot, price=0.5 if spot else 1.0)
+        elif op == "finalize_reserved":
+            provider.finalize_reserved(now)
+        elif op == "settle_stragglers":
+            provider.settle_stragglers(now)
+        else:
+            provider = pickle.loads(pickle.dumps(provider))
+        views = {
+            None: provider.vms(),
+            VMState.IDLE: provider.idle_vms(),
+            VMState.BOOTING: provider.booting_vms(),
+            VMState.BUSY: provider.busy_vms(),
+        }
+        for state, view in views.items():
+            ids = [vm.vm_id for vm in view]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert ids == sorted_ids(provider, state)

@@ -102,8 +102,9 @@ class TestSnapshotStore:
         # Both the top-level manifest AND the generation sidecar must be
         # tampered: the recovery ladder would otherwise (correctly) fall
         # back to the intact sidecar and load anyway.  Format 3 predates
-        # the removal of EngineConfig.alloc and must be refused too.
-        for stale in (3, 999):
+        # the removal of EngineConfig.alloc and format 4 the tuple-keyed
+        # event heap; both must be refused too.
+        for stale in (3, 4, 999):
             directory = tmp_path / str(stale)
             store = SnapshotStore(self.config(directory))
             store.write({"a": 1}, sequence=1, sim_time=0.0, events_processed=0)
@@ -157,7 +158,7 @@ class TestHeapRoundTrip:
         q = EventQueue()
         e = q.push(Event(1.0))
         clone = pickle.loads(pickle.dumps(q))
-        clone_event = clone._heap[0]
+        _, _, _, clone_event = clone._heap[0]
         assert clone_event.owner is clone
         clone_event.cancel()
         assert len(clone) == 0

@@ -244,7 +244,7 @@ class TestStaleFailureEvents:
         result = engine.run()
         assert result.unfinished_jobs == 0
         live_fails = [
-            e for e in engine.sim.queue._heap
+            e for *_, e in engine.sim.queue._heap
             if e.kind is EventKind.VM_FAIL and not e.cancelled
         ]
         assert live_fails == []
@@ -263,7 +263,7 @@ class TestStaleFailureEvents:
         assert result.unfinished_jobs == 0
         assert engine.provider.leases_total > 5  # the scenario exercises churn
         live_fails = sum(
-            1 for e in engine.sim.queue._heap
+            1 for *_, e in engine.sim.queue._heap
             if e.kind is EventKind.VM_FAIL and not e.cancelled
         )
         assert live_fails == 0

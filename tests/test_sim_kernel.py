@@ -142,7 +142,7 @@ class TestEventQueue:
             else:
                 q.clear()
                 tracked.clear()
-            scan = sum(1 for e in q._heap if not e.cancelled)
+            scan = sum(1 for *_, e in q._heap if not e.cancelled)
             assert len(q) == scan
             assert bool(q) == (scan > 0)
 
