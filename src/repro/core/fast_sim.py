@@ -25,6 +25,14 @@ values while doing strictly less work per step:
   that only change when a job starts.  Any policy built from other
   classes falls back to the reference kernel — same results, reference
   speed.
+* **Shared trajectories**: the run of one member (the *leader*) also
+  answers every *rider* that would decide alike.  Each step checks the
+  surviving provisioning kinds (at most 4) and (job, VM) selection
+  pairs (at most 12) against the leader's decision; a rider keeps the
+  leader's outcome while both its kind and its pair survive, and is
+  dropped, not forked, at its first differing decision.  Equal
+  decisions give equal states and equal step times, so the outcome is
+  the one the rider's own run would return.
 
 Bit-identity argument (verified by the differential soak in
 ``tests/test_kernel_fast.py`` and the CI export diffs):
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
 from math import ceil
 from typing import TYPE_CHECKING, Sequence
 
@@ -216,17 +225,174 @@ class KernelPrep:
         self.n_pre = len(lease0)
 
 
+def _demand(kind, total_procs, widest, work_sum, available, rented):
+    """Unclamped demand of the ODA / ODB / ODE / ODM closed forms."""
+    if kind == _PROV_ODA:
+        return total_procs - available
+    if kind == _PROV_ODB:
+        return total_procs - rented
+    if kind == _PROV_ODE:
+        if work_sum <= 0:
+            return 0
+        target = math.ceil(work_sum / 3_600.0)
+        target = min(max(target, widest), total_procs)
+        return target - available
+    return widest - available  # ODM
+
+
+def _visit_order(jk, pending, in_pending, prep, dt, head=None):
+    """Job visit order of job-selection kind *jk* at elapsed time *dt*,
+    as a one-pass iterable; with *head*, only its first *head* jobs.
+
+    The reference's stable sort on (-priority, pending position).  FCFS
+    order is constant (see :class:`KernelPrep`) and filtered lazily, so
+    a walk that stops early never materialises the tail; the others sort
+    a per-step priority list with a C-level key (``heapq.nlargest`` is
+    documented equal to ``sorted(..., reverse=True)[:head]``).
+    """
+    if jk == _JSEL_FCFS:
+        order = (i for i in prep.fcfs_order if in_pending[i])
+        return order if head is None else list(islice(order, head))
+    waits0 = prep.waits0
+    est = prep.est
+    if jk == _JSEL_LXF:
+        prio = [(waits0[i] + dt + est[i]) / est[i] for i in pending]
+    elif jk == _JSEL_UNICEF:
+        udenom = prep.unicef_denom
+        prio = [(waits0[i] + dt) / udenom[i] for i in pending]
+    else:  # WFP3
+        procs = prep.procs
+        prio = [((waits0[i] + dt) / est[i]) ** 3 * procs[i] for i in pending]
+    if head is None:
+        ranked = sorted(range(len(pending)), key=prio.__getitem__,
+                        reverse=True)
+    else:
+        ranked = heapq.nlargest(head, range(len(pending)),
+                                key=prio.__getitem__)
+    return [pending[qpos] for qpos in ranked]
+
+
+def _walk(order, vk, procs, runtimes, rem, n_idle, period):
+    """One allocation pass: ``[(job, idle positions)]`` in start order.
+
+    Walks *order* over a pool of *n_idle* idle positions and stops at
+    the first job that does not fit (no backfilling) or at an empty
+    pool.  Reads nothing it would change, so a rider's pass can run on
+    the leader's state before the leader applies its own.
+    """
+    pool = list(range(n_idle))
+    taken = []
+    for qidx in order:
+        p = procs[qidx]
+        if p > len(pool):
+            break  # no backfilling: the blocked job stalls the queue
+        if vk == _VSEL_FIRST:
+            chosen = pool[:p]
+            del pool[:p]
+        else:
+            runtime = runtimes[qidx]
+            ra = [(rem[pi] - runtime) % period for pi in pool]
+            picks = sorted(range(len(pool)), key=ra.__getitem__,
+                           reverse=vk == _VSEL_WORST)[:p]
+            chosen = [pool[ci] for ci in picks]
+            for ci in sorted(picks, reverse=True):
+                del pool[ci]
+        taken.append((qidx, chosen))
+        if not pool:
+            break
+    return taken
+
+
+def _agreeing(pairs, jk, vk, taken, pending, in_pending, prep, dt, rem,
+              n_idle) -> set:
+    """The tracked (job, VM) selection pairs whose allocation pass at this
+    step equals the leader's *taken*.
+
+    Which jobs a pass starts depends only on its visit order (a job
+    starts while it fits the pool's size), and which VMs they take only
+    on its VM rule, so the two halves are checked apart, once per
+    distinct kind.  An order agrees when it starts with the leader's
+    jobs and, if the pool is not empty, its next job does not fit
+    either; on a 1-job queue all orders are equal.  A VM rule agrees
+    when it picks the leader's VMs for those jobs; when every idle VM
+    has the same paid time left (*rem*; ``None`` when only FirstFit is
+    in play), every rule takes the first free positions.
+    """
+    procs = prep.procs
+    started = [qidx for qidx, _ in taken]
+    left = n_idle
+    for qidx in started:
+        left -= procs[qidx]
+    head = len(started) + (left > 0 and len(started) < len(pending))
+    orders_agree = {jk: True}
+    if len(pending) == 1:
+        orders_agree = dict.fromkeys(range(4), True)
+    rules_agree = {vk: True}
+    if rem is None or rem.count(rem[0]) == n_idle:
+        rules_agree = dict.fromkeys(range(3), True)
+    agreeing = set()
+    for pair in pairs:
+        rjk, rvk = pair
+        same = orders_agree.get(rjk)
+        if same is None:
+            order = _visit_order(rjk, pending, in_pending, prep, dt, head)
+            same = orders_agree[rjk] = order[:len(started)] == started and (
+                len(order) == len(started) or procs[order[-1]] > left
+            )
+        if same:
+            same = rules_agree.get(rvk)
+            if same is None:
+                same = rules_agree[rvk] = _walk(
+                    started, rvk, procs, prep.runtimes, rem, n_idle,
+                    prep.period,
+                ) == taken
+        if same:
+            agreeing.add(pair)
+    return agreeing
+
+
+def _muster(riders, is_odx: bool, threshold: float) -> list:
+    """``(rider, provisioning kind, (job kind, VM kind))`` for every
+    rider that may share the leader's trajectory.
+
+    ODX adds urgency wake-ups to the step times, so ODX riders need an
+    ODX leader of the same ``threshold`` and the others a non-ODX
+    leader.  Riders without a fast plan never ride.
+    """
+    crew = []
+    for rider in riders:
+        if type(rider) is not CombinedPolicy:
+            continue
+        plan = rider.kernel_plan
+        if plan is None:
+            continue
+        rpk, rjk, rvk, base = plan
+        if (rpk == _PROV_ODX) != is_odx:
+            continue
+        if is_odx and base.threshold != threshold:
+            continue
+        crew.append((rider, rpk, (rjk, rvk)))
+    return crew
+
+
 def fast_evaluate(
     sim: "OnlineSimulator",
     prep: KernelPrep,
     policy: CombinedPolicy,
     plan,
+    riders: Sequence[CombinedPolicy] = (),
+    shared: list | None = None,
 ) -> "SimOutcome":
     """Array-based evaluation of *policy* on *prep*'s snapshot.
 
     Decision-for-decision identical to
     ``OnlineSimulator._evaluate_reference`` under the eager release
     rule; see the module docstring for the bit-identity argument.
+
+    *riders* ride along: every rider whose provisioning and allocation
+    decisions equal *policy*'s at every step has the same trajectory,
+    so ``(rider, outcome)`` is appended to *shared* for it.  A rider is
+    dropped at its first differing decision.
     """
     pk, jk, vk, base_prov = plan
     tick = sim.tick
@@ -243,7 +409,6 @@ def fast_evaluate(
     runtimes = prep.runtimes
     work = prep.work
     denom10 = prep.denom10
-    udenom = prep.unicef_denom
     crossing = prep.odx_crossing
     n_pre = prep.n_pre
 
@@ -268,7 +433,6 @@ def fast_evaluate(
     rv_new = 0.0
     pending = list(range(prep.n_jobs))
     in_pending = [True] * prep.n_jobs
-    fcfs_order = prep.fcfs_order
     start_times: dict[int, float] = {}
 
     # Pending-set aggregates, refreshed only when a job starts.  All are
@@ -302,6 +466,18 @@ def fast_evaluate(
         watch = pending[:]
         urgent_flag = [False] * n_jobs
         urgent_sum = 0
+
+    # Riders are tracked by component kind: a provisioning decision
+    # depends only on the kind and the state, an allocation decision
+    # only on the (job, VM) selection pair and the state.  ``kinds`` and
+    # ``pairs`` hold the riders' ones, other than the leader's, that
+    # have decided like the leader at every step so far.
+    lead_pair = (jk, vk)
+    crew = _muster(riders, is_odx, odx_threshold) if shared is not None else ()
+    kinds = {rk for _, rk, _ in crew}
+    kinds.discard(pk)
+    pairs = {rp for _, _, rp in crew}
+    pairs.discard(lead_pair)
 
     t = t0
     steps = 0
@@ -337,20 +513,7 @@ def fast_evaluate(
         dt = t - t0
 
         # --- provisioning (closed forms of the five OD* policies) -----
-        if pk == _PROV_ODA:
-            demand = total_procs - available
-        elif pk == _PROV_ODB:
-            demand = total_procs - rented
-        elif pk == _PROV_ODE:
-            if work_sum <= 0:
-                demand = 0
-            else:
-                target = math.ceil(work_sum / 3_600.0)
-                target = min(max(target, widest), total_procs)
-                demand = target - available
-        elif pk == _PROV_ODM:
-            demand = widest - available
-        else:  # ODX
+        if is_odx:
             if watch:
                 still = []
                 for i in watch:
@@ -362,12 +525,21 @@ def fast_evaluate(
                         still.append(i)
                 watch = still
             demand = urgent_sum - available
+        else:
+            demand = _demand(pk, total_procs, widest, work_sum, available,
+                             rented)
         if demand < 0:
             demand = 0
         headroom = max_vms - rented
         if headroom < 0:
             headroom = 0
         n_new = demand if demand < headroom else headroom
+        if kinds:
+            kinds = {
+                k for k in kinds
+                if min(max(_demand(k, total_procs, widest, work_sum,
+                                   available, rented), 0), headroom) == n_new
+            }
         if n_new:
             ready_at = t + boot
             for _ in range(n_new):
@@ -382,84 +554,45 @@ def fast_evaluate(
         # --- allocation -----------------------------------------------
         # With no backfilling the walk breaks at the first job that does
         # not fit, so when even the narrowest pending job exceeds the
-        # idle pool the whole pass is a guaranteed no-op — skip it
-        # (including the priority sort) outright.
+        # idle pool the whole pass is a guaranteed no-op for every
+        # member — skip it (including the priority sort) outright.
         supply_changed = n_new > 0
         if idle and min_procs <= len(idle):
-            # Visit order = reference's stable sort on (-priority,
-            # pending position).  FCFS order is constant (see KernelPrep);
-            # the others sort a per-step priority list with a C-level key.
-            # The walk is lazy: it stops at the first blocked job or an
-            # empty pool, so generators avoid materialising the tail.
-            if jk == _JSEL_FCFS:
-                order_iter = (i for i in fcfs_order if in_pending[i])
-            else:
-                if jk == _JSEL_LXF:
-                    prio = [(waits0[i] + dt + est[i]) / est[i]
-                            for i in pending]
-                elif jk == _JSEL_UNICEF:
-                    prio = [(waits0[i] + dt) / udenom[i] for i in pending]
-                else:  # WFP3
-                    prio = [
-                        ((waits0[i] + dt) / est[i]) ** 3 * procs[i]
-                        for i in pending
-                    ]
-                order_iter = (
-                    pending[qpos]
-                    for qpos in sorted(range(len(pending)),
-                                       key=prio.__getitem__, reverse=True)
-                )
             rem = None
-            if vk != _VSEL_FIRST:
+            if vk != _VSEL_FIRST or (
+                pairs and any(rp[1] != _VSEL_FIRST for rp in pairs)
+            ):
                 rem = [
                     # _remaining_paid() inlined — hot loop; equality is
                     # property-tested in tests/test_kernel_fast.py
                     (period - (t - lease[s]) % period) % period or period
                     for s in idle
                 ]
-            pool = list(range(len(idle)))  # positions into idle/rem
-            started = None
-            used: set[int] = set()
-            for qidx in order_iter:
-                p = procs[qidx]
-                if p > len(pool):
-                    break  # no backfilling: the blocked job stalls the queue
-                if vk == _VSEL_FIRST:
-                    chosen = pool[:p]
-                    del pool[:p]
-                else:
-                    runtime = runtimes[qidx]
-                    ra = [(rem[pi] - runtime) % period for pi in pool]
-                    picks = sorted(range(len(pool)), key=ra.__getitem__,
-                                   reverse=vk == _VSEL_WORST)[:p]
-                    chosen = [pool[ci] for ci in picks]
-                    for ci in sorted(picks, reverse=True):
-                        del pool[ci]
-                # Apply effects immediately: the reference's walk-then-
-                # apply split is equivalent because the walk never reads
-                # the VM state it mutates (``rem`` is fixed for the step
-                # and ``pool`` already excludes chosen VMs).
-                finish = t + est[qidx]
-                for pi in chosen:
-                    s = idle[pi]
-                    lbe[s] = finish
-                    heappush(busy_heap, (finish, s))
-                    used.add(s)
-                n_busy += p
-                start_times[qidx] = t
-                if started is None:
-                    started = {qidx}
-                else:
-                    started.add(qidx)
-                in_pending[qidx] = False
-                if is_odx and urgent_flag[qidx]:
-                    urgent_sum -= p
-                if finish < next_event:
-                    next_event = finish
-                if not pool:
-                    break
-            if started:
-                pending = [i for i in pending if i not in started]
+            n_idle = len(idle)
+            taken = _walk(_visit_order(jk, pending, in_pending, prep, dt), vk,
+                          procs, runtimes, rem, n_idle, period)
+            if pairs:
+                pairs = _agreeing(pairs, jk, vk, taken, pending, in_pending,
+                                  prep, dt, rem, n_idle)
+            if taken:
+                # The reference's walk-then-apply split: the walk never
+                # reads the VM state applied here.
+                used: set[int] = set()
+                for qidx, chosen in taken:
+                    finish = t + est[qidx]
+                    for pi in chosen:
+                        s = idle[pi]
+                        lbe[s] = finish
+                        heappush(busy_heap, (finish, s))
+                        used.add(s)
+                    n_busy += len(chosen)
+                    start_times[qidx] = t
+                    in_pending[qidx] = False
+                    if is_odx and urgent_flag[qidx]:
+                        urgent_sum -= procs[qidx]
+                    if finish < next_event:
+                        next_event = finish
+                pending = [i for i in pending if in_pending[i]]
                 if not pending:
                     break
                 idle = [s for s in idle if s not in used]
@@ -560,5 +693,16 @@ def fast_evaluate(
         if s >= n_pre:
             rv_new += charge
 
-    return sim._score_fast(prep, policy.provisioning, start_times,
-                           t, rv, rv_new, steps, truncated)
+    outcome = sim._score_fast(prep, policy.provisioning, start_times,
+                              t, rv, rv_new, steps, truncated)
+    if crew:
+        # A rider differs from the leader only in its provisioning
+        # object, which scoring reads for the spot re-pricing alone.
+        reprice = prep.profile.spot_price is not None
+        for rider, rk, rp in crew:
+            if (rk == pk or rk in kinds) and (rp == lead_pair or rp in pairs):
+                shared.append((rider, sim._score_fast(
+                    prep, rider.provisioning, start_times, t, rv, rv_new,
+                    steps, truncated,
+                ) if reprice else outcome))
+    return outcome

@@ -194,19 +194,31 @@ class OnlineSimulator:
 
         return KernelPrep(queue, waits, runtimes, profile)
 
-    def evaluate_prepared(self, prep, policy: CombinedPolicy) -> SimOutcome:
+    def evaluate_prepared(
+        self,
+        prep,
+        policy: CombinedPolicy,
+        riders: Sequence[CombinedPolicy] = (),
+        shared: list | None = None,
+    ) -> SimOutcome:
         """Evaluate *policy* against a prefix built by :meth:`prepare`.
 
         Takes the fast path when the kernel allows it and the policy is
         built from the known concrete classes; otherwise falls back to
         the reference loop on the original snapshot (same results).
+
+        *riders* are other members the caller would score on the same
+        prefix.  When the fast path runs, each rider that decides like
+        *policy* at every step shares its trajectory and is appended to
+        *shared* as ``(rider, outcome)``, the outcome its own evaluation
+        would return.  The reference loop answers no riders.
         """
         if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
             from repro.core.fast_sim import fast_evaluate, fast_plan
 
             plan = fast_plan(policy)
             if plan is not None:
-                return fast_evaluate(self, prep, policy, plan)
+                return fast_evaluate(self, prep, policy, plan, riders, shared)
         return self._evaluate_reference(
             prep.queue, prep.waits, prep.runtimes, prep.profile, policy
         )

@@ -91,6 +91,8 @@ class SelectionOutcome:
     simulated: tuple[PolicyScore, ...]
     budget: float
     spent: float
+    #: Scores answered by another member's shared kernel run.
+    n_shared: int = 0
 
     @property
     def n_simulated(self) -> int:
@@ -164,14 +166,12 @@ class TimeConstrainedSelector:
         #: ``KernelPrep`` built in :meth:`select` and shared by every
         #: policy evaluation of the round (``None`` between rounds).
         self._prep = None
-        #: Round-over-round memo: ``policy.name -> SimOutcome`` from the
-        #: previous invocation, valid only while ``_memo_key`` matches the
-        #: current (queue, waits, runtimes, profile) state.  ``None`` when
-        #: memoization is off (reference kernel keeps the historical
-        #: one-evaluation-per-policy-per-round behaviour).
-        self._memo: dict[str, SimOutcome] | None = None
-        self._memo_key: tuple | None = None
-        #: Evaluations answered from the memo instead of a fresh simulation.
+        #: This round's shared outcomes, ``policy.name -> (policy,
+        #: SimOutcome)``, for members a shared kernel run already
+        #: answered (see :meth:`_simulate`).  ``None`` between rounds and
+        #: whenever shared runs are off (see :meth:`_begin_round`).
+        self._memo: dict[str, tuple[CombinedPolicy, SimOutcome]] | None = None
+        #: Evaluations answered by another member's shared run.
         self.memo_hits = 0
         #: Evaluations quarantined since the last *successful* evaluation;
         #: the scheduler's failover cap watches this.
@@ -187,51 +187,6 @@ class TimeConstrainedSelector:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _round_key(
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
-    ) -> tuple:
-        """Digest of the selection-round inputs the simulator reads.
-
-        Jobs are keyed by ``(job_id, procs)`` — the only job fields the
-        online simulation consumes beyond the parallel ``waits`` /
-        ``runtimes`` arrays — and :class:`CloudProfile` is a frozen
-        dataclass that compares by value, so two rounds with equal keys
-        are guaranteed to produce identical ``SimOutcome``s per policy.
-        """
-        return (
-            tuple((job.job_id, job.procs) for job in queue),
-            tuple(waits),
-            tuple(runtimes),
-            profile,
-        )
-
-    def _memo_lookup(self, policy: CombinedPolicy) -> PolicyScore | None:
-        """Return a cached :class:`PolicyScore` for *policy*, if memoised.
-
-        A hit is charged ``cost_clock.measure(0.0, steps)`` — under the
-        paper's virtual clock that is *exactly* what a fresh evaluation
-        would charge (the clock ignores wall time), so memoization never
-        perturbs the Algorithm 1 budget trajectory in experiments.
-        """
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            return None
-        cached = memo.get(policy.name)
-        if cached is None:
-            return None
-        self.memo_hits = getattr(self, "memo_hits", 0) + 1
-        self.consecutive_quarantines = 0
-        return PolicyScore(
-            policy=policy,
-            score=cached.score,
-            cost=self.cost_clock.measure(0.0, cached.steps),
-            outcome=cached,
-        )
-
     def _begin_round(
         self,
         queue: Sequence[Job],
@@ -239,34 +194,34 @@ class TimeConstrainedSelector:
         runtimes: Sequence[float],
         profile: CloudProfile,
     ) -> None:
-        """Set up the round's warm-start prefix and memo validity.
+        """Set up the round's warm-start prefix and shared-outcome memo.
 
         The prefix (:meth:`OnlineSimulator.prepare`) is built once and
-        shared by every serial evaluation this round.  The memo survives
-        from the previous round only while the round key is unchanged —
-        any queue/wait/fleet delta invalidates it wholesale.  Both are
-        gated on the fast kernel so ``--kernel reference`` keeps the
-        historical evaluation path bit-for-bit.
+        shared by every serial evaluation this round; the memo starts
+        empty, so no outcome crosses rounds.  Both are gated on the fast
+        kernel so ``--kernel reference`` keeps the historical evaluation
+        path bit-for-bit, and neither serves the parallel path, whose
+        workers evaluate one member per task.  Overrides are detected
+        against the class attributes at call time, so a wrapper
+        installed on :class:`OnlineSimulator` itself is not mistaken for
+        one.
         """
         simulator = self.simulator
+        self._memo = None
         if (
-            getattr(simulator, "kernel", "reference") != "fast"
+            self.evaluator is not None
+            or getattr(simulator, "kernel", "reference") != "fast"
             # A subclass overriding ``evaluate`` (stubs, instrumentation)
             # must keep seeing one call per policy: the prepared path
-            # would silently bypass the override, and memo hits would
-            # swallow calls entirely.
+            # would silently bypass the override.
             or type(simulator).evaluate is not OnlineSimulator.evaluate
         ):
             self._prep = None
-            self._memo = None
-            self._memo_key = None
             return
-        key = self._round_key(queue, waits, runtimes, profile)
-        if getattr(self, "_memo", None) is None or key != getattr(
-            self, "_memo_key", None
-        ):
+        # One overriding only ``evaluate_prepared`` may not take riders,
+        # and must not have calls swallowed by shared runs either.
+        if type(simulator).evaluate_prepared is OnlineSimulator.evaluate_prepared:
             self._memo = {}
-            self._memo_key = key
         profiler = self.profiler
         prep_begin = _time.perf_counter() if profiler is not None else 0.0
         self._prep = simulator.prepare(queue, waits, runtimes, profile)
@@ -292,20 +247,49 @@ class TimeConstrainedSelector:
         selector's set-rebuild bookkeeping — and goes through
         :meth:`CostClock.stamp`, so virtual clocks never touch the real
         clock at all.
+
+        With shared runs on, a member an earlier run of this round
+        already answered is scored from the memo; on a miss, every member
+        still unscored this round rides along with *policy* (see
+        :meth:`OnlineSimulator.evaluate_prepared`), and the answered
+        riders fill the memo.
         """
-        hit = self._memo_lookup(policy)
-        if hit is not None:
-            return hit
+        memo = self._memo
+        if memo is not None:
+            rider, outcome = memo.get(policy.name, (None, None))
+            if rider is policy:
+                # Charged like a fresh evaluation under the paper's
+                # virtual clock (which ignores wall time), so shared runs
+                # never perturb the budget trajectory; free on a wall
+                # clock, where the leader paid for the shared run.
+                self.memo_hits += 1
+                self.consecutive_quarantines = 0
+                return PolicyScore(
+                    policy=policy,
+                    score=outcome.score,
+                    cost=self.cost_clock.measure(0.0, outcome.steps),
+                    outcome=outcome,
+                )
         profiler = self.profiler
         span_begin = _time.perf_counter() if profiler is not None else 0.0
         begin = self.cost_clock.stamp()
-        prep = getattr(self, "_prep", None)
+        prep = self._prep
+        shared: list = []
         try:
-            if prep is not None:
-                outcome = self.simulator.evaluate_prepared(prep, policy)
-            else:
+            if prep is None:
                 outcome = self.simulator.evaluate(
                     queue, waits, runtimes, profile, policy
+                )
+            elif memo is None:
+                outcome = self.simulator.evaluate_prepared(prep, policy)
+            else:
+                # Every member still unscored this round rides along.
+                riders = [
+                    p for p in (*self.smart, *self.stale, *self.poor)
+                    if p.name not in memo
+                ]
+                outcome = self.simulator.evaluate_prepared(
+                    prep, policy, riders, shared
                 )
         except Exception:
             wall = self.cost_clock.stamp() - begin
@@ -324,9 +308,8 @@ class TimeConstrainedSelector:
         if profiler is not None:
             profiler.add("selector.evaluate", _time.perf_counter() - span_begin)
         self.consecutive_quarantines = 0
-        memo = getattr(self, "_memo", None)
-        if memo is not None:
-            memo[policy.name] = outcome  # failures are never memoised
+        for rider, rider_outcome in shared:
+            memo[rider.name] = (rider, rider_outcome)
         cost = self.cost_clock.measure(wall, outcome.steps)
         return PolicyScore(policy=policy, score=outcome.score, cost=cost, outcome=outcome)
 
@@ -349,6 +332,7 @@ class TimeConstrainedSelector:
         """
         select_begin = _time.perf_counter() if self.profiler is not None else 0.0
         delta = self.time_constraint
+        hits_before = self.memo_hits
         self._begin_round(queue, waits, runtimes, profile)
         d1, d2, d3 = split_budget(
             delta, len(self.smart), len(self.stale), len(self.poor)
@@ -378,7 +362,9 @@ class TimeConstrainedSelector:
 
         self.invocations += 1
         self.total_simulated += len(simulated)
-        self._prep = None  # do not pin the round's snapshot between ticks
+        # Do not pin the round's snapshot or outcomes between ticks.
+        self._prep = None
+        self._memo = None
         if self.profiler is not None:
             self.profiler.add(
                 "selector.select", _time.perf_counter() - select_begin
@@ -388,6 +374,7 @@ class TimeConstrainedSelector:
             simulated=tuple(simulated),
             budget=delta,
             spent=spent,
+            n_shared=self.memo_hits - hits_before,
         )
 
     def _phases_serial(
@@ -459,24 +446,12 @@ class TimeConstrainedSelector:
             nonlocal spent
             while budget > 0:
                 wave: list[tuple[int, CombinedPolicy]] = []
-                hits = 0
                 for _ in range(evaluator.workers):
                     policy = take_next()
                     if policy is None:
                         break
-                    # Memo hits are answered parent-side and never shipped
-                    # to a worker; they still charge the phase budget.
-                    ps = self._memo_lookup(policy)
-                    if ps is not None:
-                        simulated.append(ps)
-                        budget -= ps.cost
-                        spent += ps.cost
-                        hits += 1
-                        continue
                     wave.append((self._policy_index[policy.name], policy))
                 if not wave:
-                    if hits:
-                        continue
                     break
                 by_index = {index: policy for index, policy in wave}
                 wave_begin = (
@@ -508,9 +483,6 @@ class TimeConstrainedSelector:
                     else:
                         self.consecutive_quarantines = 0
                         assert rec.outcome is not None
-                        memo = getattr(self, "_memo", None)
-                        if memo is not None:
-                            memo[policy.name] = rec.outcome
                         ps = PolicyScore(
                             policy=policy,
                             score=rec.outcome.score,

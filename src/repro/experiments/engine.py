@@ -457,6 +457,7 @@ class ClusterEngine:
                 "budget": outcome.budget,
                 "spent": outcome.spent,
                 "n_simulated": len(outcome.simulated),
+                "n_shared": outcome.n_shared,
                 "n_quarantined": sum(
                     1 for ps in outcome.simulated if ps.quarantined
                 ),

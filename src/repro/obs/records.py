@@ -21,7 +21,8 @@ Record kinds
     policy.  When Algorithm 1 ran this round, a nested ``selection``
     object carries the budget Δ, the spent worker-seconds, every
     simulated policy's score and charged cost (quarantined evaluations
-    flagged), and the rebuilt Smart/Stale/Poor membership.
+    flagged), how many of those scores a shared kernel run answered
+    (``n_shared``), and the rebuilt Smart/Stale/Poor membership.
 ``vm``
     VM lifecycle: ``event`` is ``lease`` / ``ready`` / ``fail``.
 ``charge``

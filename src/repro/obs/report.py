@@ -158,6 +158,7 @@ def render_trace_report(
     budgets: list[float] = []
     spents: list[float] = []
     n_sim = 0
+    n_shared = 0
     n_quar = 0
     for r in rounds:
         name = str(r.get("policy", "?"))
@@ -168,6 +169,7 @@ def render_trace_report(
             budgets.append(float(sel.get("budget", 0.0)))
             spents.append(float(sel.get("spent", 0.0)))
             n_sim += int(sel.get("n_simulated", 0))
+            n_shared += int(sel.get("n_shared", 0))
             n_quar += int(sel.get("n_quarantined", 0))
 
     rows = [
@@ -186,8 +188,8 @@ def render_trace_report(
         out.append(
             f"Δ accounting: {len(budgets)} invocations, mean spent "
             f"{mean_s * 1e3:.1f} ms of {mean_b * 1e3:.1f} ms budget "
-            f"({share:.0f}%), {n_sim} policy simulations, "
-            f"{n_quar} quarantined"
+            f"({share:.0f}%), {n_sim} policy simulations "
+            f"({n_shared} shared), {n_quar} quarantined"
         )
 
     # Policy-switch timeline.

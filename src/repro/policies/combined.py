@@ -10,6 +10,7 @@ the two can never drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.policies.base import (
@@ -46,12 +47,23 @@ class CombinedPolicy:
     job_selection: JobSelectionPolicy
     vm_selection: VMSelectionPolicy
 
-    @property
+    @cached_property
     def name(self) -> str:
+        # Formatted once per policy: the selector reads it per member on
+        # every evaluation.  Field-based equality and hashing ignore it.
         return (
             f"{self.provisioning.name}-{self.job_selection.name}-"
             f"{self.vm_selection.name}"
         )
+
+    @cached_property
+    def kernel_plan(self):
+        """The fast kernel's dispatch plan for this member, or ``None``
+        (see :func:`repro.core.fast_sim.fast_plan`).  Derived once: the
+        components never change after construction."""
+        from repro.core.fast_sim import fast_plan  # fast_sim imports this module
+
+        return fast_plan(self)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<CombinedPolicy {self.name}>"

@@ -12,7 +12,7 @@ Also covers the satellite fixes of the same PR:
 * the :func:`_remaining_paid` helper at exact billing boundaries;
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
-* selector warm-start + round-over-round memoization;
+* rider outcomes of shared runs, and the selector's per-round memo;
 * slimmed parallel wave payloads.
 """
 
@@ -27,8 +27,11 @@ from repro.core.online_sim import OnlineSimulator, SimOutcome, _charged, _remain
 from repro.core.selection import TimeConstrainedSelector
 from repro.experiments.engine import ClusterEngine
 from repro.core.scheduler import FixedScheduler
-from repro.policies.combined import build_portfolio, policy_by_name
+from repro.policies.combined import CombinedPolicy, build_portfolio, policy_by_name
+from repro.policies.job_selection import FCFS
+from repro.policies.provisioning import ODA, ODX
 from repro.policies.spot_aware import spot_portfolio_members
+from repro.policies.vm_selection import BestFit, FirstFit
 from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.swf import parse_swf, write_swf
@@ -63,7 +66,8 @@ def synthetic_states():
 
     Covers the shapes the step loop branches on: booting-heavy fleets,
     busy-heavy fleets, mixed fleets, empty fleets, head-blocked queues,
-    single-job queues, billing-boundary leases, and a spot snapshot.
+    single-job queues, billing-boundary leases, a spot snapshot, and idle
+    VMs with different paid time left (where the VM rules disagree).
     """
     now = 7_200.0
     states = []
@@ -159,6 +163,24 @@ def synthetic_states():
     )
     add("spot", jobs_of(9, procs=2, runtime=300.0), spot_profile)
 
+    # Idle VMs with different paid time left: BestFit, FirstFit and
+    # WorstFit pick different VMs, and a 200 s job on the VM with 100 s
+    # left books a second hour.
+    split = [vm(0, lease=now - 3_500.0), vm(1, lease=now - 100.0),
+             vm(2, lease=now - 1_700.0)]
+    add(
+        "paid-time-split-one-job",
+        jobs_of(1, procs=1, runtime=200.0),
+        profile_from_vms(now, split[:2], max_vms=4, boot_delay=100.0),
+    )
+    add(
+        "paid-time-split",
+        [Job(job_id=i, submit_time=0.0, runtime=rt, procs=p)
+         for i, (rt, p) in enumerate([(200.0, 1), (1_900.0, 1), (60.0, 2)])],
+        profile_from_vms(now, split, max_vms=6, boot_delay=100.0),
+        waits=[40.0, 30.0, 90.0],
+    )
+
     return states
 
 
@@ -174,6 +196,16 @@ def swf_state():
     waits = [min(now, 10.0 * (len(jobs) - i)) for i in range(len(jobs))]
     runtimes = [max(j.runtime, 1.0) for j in jobs]
     return jobs, waits, runtimes, profile_from_vms(now, fleet, max_vms=40, boot_delay=120.0)
+
+
+def truncation_state():
+    now = 0.0
+    # procs == max_vms but zero supply and a provisioning policy that
+    # can never lease enough at once -> the job starves; with
+    # max_steps=1 the very first step truncates before anything starts.
+    queue = [Job(job_id=0, submit_time=0.0, runtime=100.0, procs=4)]
+    profile = profile_from_vms(now, [], max_vms=2, boot_delay=100.0)
+    return queue, [5.0], [100.0], profile
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +244,80 @@ def test_differential_soak_swf_workload():
         assert fast.evaluate(queue, waits, runtimes, profile, policy) == ref.evaluate(
             queue, waits, runtimes, profile, policy
         ), policy.name
+
+
+class _Tagged(CombinedPolicy):
+    """A subclass: same formulas, but the kernel may not assume so."""
+
+
+def rider_members():
+    """The 66-member spot portfolio plus two ODX members on a non-default
+    threshold (which may ride with each other, never with the default
+    ODX) and a subclass member (which never rides)."""
+    odx3 = ODX()
+    odx3.threshold = 3.0
+    return build_portfolio() + spot_portfolio_members() + [
+        CombinedPolicy(odx3, FCFS(), FirstFit()),
+        CombinedPolicy(odx3, FCFS(), BestFit()),
+        _Tagged(ODA(), FCFS(), FirstFit()),
+    ]
+
+
+def rider_states():
+    """Every state of the soak, each with its simulator settings."""
+    states = [
+        (f"{label}/{acc}", q, w, r, p, OnlineSimulator(rv_accounting=acc))
+        for label, q, w, r, p in synthetic_states()
+        for acc in ("total", "marginal")
+    ]
+    states.append(("swf", *swf_state(), OnlineSimulator()))
+    states.append(("truncated", *truncation_state(), OnlineSimulator(max_steps=1)))
+    states.append(("truncated-late", *truncation_state(), OnlineSimulator(max_steps=3)))
+    return states
+
+
+@pytest.mark.parametrize("state", rider_states(), ids=lambda s: s[0])
+def test_rider_outcomes_equal_their_own_evaluation(state):
+    """Every member leads once with all others as riders: the leader's
+    outcome is unchanged, and every rider answered equals that rider's
+    own evaluation field for field."""
+    label, queue, waits, runtimes, profile, sim = state
+    members = rider_members()
+    prep = sim.prepare(queue, waits, runtimes, profile)
+    own = [sim.evaluate_prepared(prep, policy) for policy in members]
+    answered = 0
+    for lead_at, leader in enumerate(members):
+        riders = [p for p in members if p is not leader]
+        shared = []
+        assert sim.evaluate_prepared(prep, leader, riders, shared) == own[lead_at]
+        for rider, outcome in shared:
+            at = next(i for i, p in enumerate(members) if p is rider)
+            assert outcome == own[at], (label, leader.name, rider.name)
+            assert type(rider) is CombinedPolicy
+            lead_base = getattr(leader.provisioning, "base", leader.provisioning)
+            rider_base = getattr(rider.provisioning, "base", rider.provisioning)
+            assert isinstance(lead_base, ODX) == isinstance(rider_base, ODX)
+            if isinstance(lead_base, ODX):
+                assert lead_base.threshold == rider_base.threshold
+        if type(leader) is not CombinedPolicy:
+            assert shared == []  # the reference loop answers no riders
+        answered += len(shared)
+    assert answered > 0, label
+
+
+def test_riders_share_a_one_job_queue_by_kind():
+    """On a 1-job queue every visit order is equal and a single idle VM
+    makes every VM rule alike, so riders split only by ODX-ness."""
+    now = 7_200.0
+    profile = profile_from_vms(now, [vm(0, lease=now - HOUR)], max_vms=4,
+                               boot_delay=100.0)
+    sim = OnlineSimulator()
+    prep = sim.prepare(jobs_of(1), [0.0], [100.0], profile)
+    portfolio = build_portfolio()
+    shared = []
+    sim.evaluate_prepared(prep, portfolio[0], portfolio[1:], shared)
+    assert {r.name.split("-")[0] for r, _ in shared} == {"ODA", "ODB", "ODE", "ODM"}
+    assert len(shared) == 4 * 12 - 1
 
 
 def test_fast_kernel_under_strict_audit_end_to_end():
@@ -387,16 +493,6 @@ def test_charged_is_integer_multiple_of_period():
 # satellite: truncation penalty horizon
 
 
-def truncation_state():
-    now = 0.0
-    # procs == max_vms but zero supply and a provisioning policy that
-    # can never lease enough at once -> the job starves; with
-    # max_steps=1 the very first step truncates before anything starts.
-    queue = [Job(job_id=0, submit_time=0.0, runtime=100.0, procs=4)]
-    profile = profile_from_vms(now, [], max_vms=2, boot_delay=100.0)
-    return queue, [5.0], [100.0], profile
-
-
 class TestTruncation:
     def test_max_steps_one_truncates_with_horizon_penalty(self):
         queue, waits, runtimes, profile = truncation_state()
@@ -444,7 +540,7 @@ class TestTruncation:
 
 
 # ---------------------------------------------------------------------------
-# selector: warm-start prefix + memoization
+# selector: warm-start prefix + shared runs
 
 
 def portfolio_selector(kernel="fast", n=12):
@@ -457,44 +553,44 @@ def portfolio_selector(kernel="fast", n=12):
     )
 
 
+def paper_selector(simulator):
+    """All 66 members under the paper's Δ = 0.2 s at 10 ms a policy:
+    about 20 scored per round, so the sets rebuild every round."""
+    return TimeConstrainedSelector(
+        build_portfolio() + spot_portfolio_members(),
+        simulator=simulator,
+        time_constraint=0.2,
+        cost_clock=VirtualCostClock(0.01),
+    )
+
+
 def round_inputs():
     _, queue, waits, runtimes, profile = synthetic_states()[0]
     return queue, waits, runtimes, profile
 
 
+def successive_rounds(n):
+    """*n* select() inputs: the soak's states in turn (spot included),
+    their waits aged 20 s a round."""
+    states = synthetic_states()
+    for k in range(n):
+        _, queue, waits, runtimes, profile = states[k % len(states)]
+        yield queue, [w + 20.0 * k for w in waits], runtimes, profile
+
+
+class TwoArgumentSimulator(OnlineSimulator):
+    """Overrides only ``evaluate_prepared``, with its old signature."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def evaluate_prepared(self, prep, policy):
+        self.calls += 1
+        return super().evaluate_prepared(prep, policy)
+
+
 class TestSelectorMemo:
-    def test_repeat_round_hits_memo_with_identical_scores(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        first = sel.select(queue, waits, runtimes, profile)
-        assert sel.memo_hits == 0
-        second = sel.select(queue, waits, runtimes, profile)
-        assert sel.memo_hits > 0
-        by_name = {ps.policy.name: ps for ps in first.simulated}
-        for ps in second.simulated:
-            prev = by_name.get(ps.policy.name)
-            if prev is not None:
-                assert ps.outcome == prev.outcome
-                assert ps.cost == prev.cost  # virtual clock: hits charge the same
-
-    def test_changed_waits_invalidate_memo(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        sel.select(queue, waits, runtimes, profile)
-        bumped = [w + 20.0 for w in waits]
-        sel.select(queue, bumped, runtimes, profile)
-        assert sel.memo_hits == 0
-
-    def test_changed_profile_invalidates_memo(self):
-        sel = portfolio_selector()
-        queue, waits, runtimes, profile = round_inputs()
-        sel.select(queue, waits, runtimes, profile)
-        import dataclasses
-
-        shifted = dataclasses.replace(profile, now=profile.now + 20.0)
-        sel.select(queue, waits, runtimes, shifted)
-        assert sel.memo_hits == 0
-
     def test_reference_kernel_disables_memo_and_prep(self):
         sel = portfolio_selector(kernel="reference")
         queue, waits, runtimes, profile = round_inputs()
@@ -504,15 +600,59 @@ class TestSelectorMemo:
         assert sel._memo is None
 
     def test_selection_identical_across_kernels(self):
+        """Shared runs (fast kernel) and one run per member (reference)
+        agree on every round's scores, costs, Δ spent and set sizes."""
+        sels = {k: paper_selector(OnlineSimulator(kernel=k))
+                for k in ("fast", "reference")}
+        for queue, waits, runtimes, profile in successive_rounds(12):
+            seen = {}
+            for kernel, sel in sels.items():
+                out = sel.select(queue, waits, runtimes, profile)
+                seen[kernel] = (
+                    [(ps.policy.name, ps.score, ps.cost) for ps in out.simulated],
+                    out.best.name,
+                    out.spent,
+                    sel.set_sizes(),
+                )
+            assert seen["fast"] == seen["reference"]
+        assert sels["fast"].memo_hits > 0
+        assert sels["reference"].memo_hits == 0
+
+    def test_repeated_round_is_simulated_afresh(self):
+        """No shared outcome crosses rounds: every score a round takes
+        from the memo was answered by a leader of that same round."""
+        sim = OnlineSimulator()
+        calls = []
+        evaluate_prepared = sim.evaluate_prepared
+
+        def spy(prep, policy, riders=(), shared=None):
+            out = evaluate_prepared(prep, policy, riders, shared)
+            calls.append((policy.name, [r.name for r, _ in shared or ()]))
+            return out
+
+        # An instance attribute, so the class still has no override.
+        sim.evaluate_prepared = spy
+        sel = paper_selector(sim)
         queue, waits, runtimes, profile = round_inputs()
-        outs = []
-        for kernel in ("fast", "reference"):
-            sel = portfolio_selector(kernel=kernel)
+        for _ in range(2):
+            calls.clear()
             out = sel.select(queue, waits, runtimes, profile)
-            outs.append(
-                [(ps.policy.name, ps.score, ps.cost) for ps in out.simulated]
-            )
-        assert outs[0] == outs[1]
+            assert sel._memo is None
+            leaders = {name for name, _ in calls}
+            answered = {name for _, names in calls for name in names}
+            hits = {ps.policy.name for ps in out.simulated} - leaders
+            assert calls and hits and hits <= answered
+            assert len(hits) == out.n_shared
+            assert len(calls) + out.n_shared == out.n_simulated
+
+    def test_two_argument_evaluate_prepared_override_sees_every_member(self):
+        sim = TwoArgumentSimulator()
+        sel = paper_selector(sim)
+        for queue, waits, runtimes, profile in successive_rounds(4):
+            out = sel.select(queue, waits, runtimes, profile)
+            assert out.n_shared == 0 and out.n_quarantined == 0
+        assert sim.calls == sel.total_simulated > 0
+        assert sel.memo_hits == 0 and sel.quarantined == 0
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,13 @@ class TestEngineWiring:
         # Every Algorithm 1 invocation left its Δ accounting in a record.
         selections = [r["selection"] for r in rounds if "selection" in r]
         assert len(selections) == result.portfolio_invocations
+        # The default fast kernel answers some scores from shared runs.
+        assert sum(sel["n_shared"] for sel in selections) > 0
         for sel in selections:
             assert sel["budget"] > 0
             assert sel["spent"] >= 0
             assert sel["n_simulated"] == len(sel["scores"])
+            assert 0 <= sel["n_shared"] <= sel["n_simulated"]
             assert set(sel["sets"]) == {"smart", "stale", "poor"}
             for ps in sel["scores"]:
                 assert {"policy", "score", "cost", "quarantined"} <= set(ps)
@@ -288,6 +291,7 @@ class TestEngineWiring:
         assert result.trace["records"] == read_trace(path).records.__len__()
         report = render_trace_report(read_trace(path), top_spans=5)
         assert "Δ accounting" in report
+        assert " shared), " in report
         assert "queue" in report and "fleet" in report
         assert "spans by total time" in report
 
