@@ -2,9 +2,9 @@
 
 :class:`~repro.core.online_sim.OnlineSimulator` is invoked up to 60
 times per 20 s scheduling tick, so its constant factors are the whole
-product's cost (ROADMAP item 1).  This module is a drop-in replacement
-for its inner loop that produces **bit-identical** :class:`SimOutcome`
-values while doing strictly less work per step:
+product's cost.  This module is a drop-in replacement for its inner
+loop that produces **bit-identical** :class:`SimOutcome` values while
+doing strictly less work per step:
 
 * **Warm-start prefix** (:class:`KernelPrep`): everything that depends
   only on the (queue, profile) snapshot — per-job constants (procs,
@@ -32,7 +32,22 @@ values while doing strictly less work per step:
   leader's outcome while both its kind and its pair survive, and is
   dropped, not forked, at its first differing decision.  Equal
   decisions give equal states and equal step times, so the outcome is
-  the one the rider's own run would return.
+  the one the rider's own run would return.  The provisioning kinds are
+  not re-checked at headroom 0, where every kind leases nothing.
+* **Quiet stretches**: a head-blocked step that leased, started and
+  released nothing falls back to ``t + tick``; until the next scheduled
+  event ``E`` (a busy or boot heap head, or the ODX crossing) only the
+  elapsed time moves, so provisioning leases nothing again (demand is
+  time-free except ODX's, so an ODX leader is skipped only at headroom
+  0).  Each later step before ``E`` is then only counted while every
+  order in play (the leader's job kind and each surviving rider pair's)
+  has a job that does not fit on top: :func:`_visit_order`'s own head at
+  that step's elapsed time, so the check is exact; FCFS order is
+  constant and needs none.  Skipped steps keep the reference's
+  ``t = t + tick`` accumulation and ``max_steps`` cut, so
+  ``SimOutcome.steps`` includes them.  Riders survive them unchanged;
+  ODX urgency flags catch up at the next executed step (urgency is
+  monotone in time: same flagged set).
 
 Bit-identity argument (verified by the differential soak in
 ``tests/test_kernel_fast.py`` and the CI export diffs):
@@ -534,7 +549,8 @@ def fast_evaluate(
         if headroom < 0:
             headroom = 0
         n_new = demand if demand < headroom else headroom
-        if kinds:
+        # At headroom 0 every kind's clamped demand is 0 == n_new.
+        if kinds and headroom:
             kinds = {
                 k for k in kinds
                 if min(max(_demand(k, total_procs, widest, work_sum,
@@ -670,6 +686,31 @@ def fast_evaluate(
             if min_procs <= len(idle):
                 cand = t + tick
                 if cand < next_event:
+                    # A quiet step (a lease, start or release would have
+                    # woken us at t + tick already).  Until next_event
+                    # only dt moves and nothing is leased, so a later
+                    # step at which every order in play still has a
+                    # blocked head repeats this one: count it and step t
+                    # exactly as the reference would.
+                    if not (is_odx and headroom):
+                        n_idle = len(idle)
+                        orders = {jk, *[rp[0] for rp in pairs]}
+                        orders.discard(_JSEL_FCFS)  # constant order
+                        t = cand
+                        while t < next_event and all(
+                            procs[_visit_order(k, pending, in_pending, prep,
+                                               t - t0, 1)[0]] > n_idle
+                            for k in orders
+                        ):
+                            steps += 1
+                            if steps > max_steps:
+                                truncated = True
+                                break
+                            cand = t + tick
+                            t = cand if cand < next_event else next_event
+                        if truncated:
+                            break
+                        continue
                     next_event = cand
         if next_event == _INF:
             next_event = t + tick

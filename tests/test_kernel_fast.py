@@ -13,7 +13,9 @@ Also covers the satellite fixes of the same PR:
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
 * rider outcomes of shared runs, and the selector's per-round memo;
-* slimmed parallel wave payloads.
+* slimmed parallel wave payloads;
+* quiet head-blocked stretches: skipped steps decide, count and
+  truncate exactly as the reference loop's, and the skip fires.
 """
 
 import math
@@ -23,6 +25,7 @@ import pytest
 
 from repro.cloud.profile import CloudProfile, VMSnapshot, profile_from_vms
 from repro.cloud.provider import CloudProvider, ProviderConfig
+from repro.core import fast_sim
 from repro.core.online_sim import OnlineSimulator, SimOutcome, _charged, _remaining_paid
 from repro.core.selection import TimeConstrainedSelector
 from repro.experiments.engine import ClusterEngine
@@ -66,8 +69,9 @@ def synthetic_states():
 
     Covers the shapes the step loop branches on: booting-heavy fleets,
     busy-heavy fleets, mixed fleets, empty fleets, head-blocked queues,
-    single-job queues, billing-boundary leases, a spot snapshot, and idle
-    VMs with different paid time left (where the VM rules disagree).
+    single-job queues, billing-boundary leases, a spot snapshot, idle
+    VMs with different paid time left (where the VM rules disagree), and
+    the quiet head-blocked stretches the fast kernel skips.
     """
     now = 7_200.0
     states = []
@@ -181,7 +185,119 @@ def synthetic_states():
         waits=[40.0, 30.0, 90.0],
     )
 
+    # Quiet head-blocked stretches, which the fast kernel skips.  FCFS:
+    # the wide head waits 98 ticks for a late busy VM at headroom 0.  The
+    # VM frees at the reference's own 98th step time, ``t + tick`` added
+    # up from an off-grid ``now``, which ``now + 98 * tick`` misses by an
+    # ulp.
+    late = 100.18
+    freed = late
+    for _ in range(98):
+        freed += 20.0
+    add(
+        "fcfs-late-busy",
+        jobs_with([(300.0, 4), (200.0, 1), (200.0, 1), (200.0, 1)]),
+        profile_from_vms(
+            late,
+            [vm(i, lease=late - 100.0) for i in range(3)]
+            + [vm(3, lease=0.0, busy=freed)],
+            max_vms=4, boot_delay=100.0,
+        ),
+        waits=[500.0, 100.0, 50.0, 0.0],
+    )
+
+    # Under LXF, UNICEF and WFP3 a narrow job overtakes the blocked head a
+    # few ticks into the stretch, which must end it there.
+    add(
+        "narrow-overtakes",
+        jobs_with([(1_000.0, 4), (100.0, 1), (50.0, 2)]),
+        profile_from_vms(
+            now,
+            [vm(i, lease=now - 300.0) for i in range(2)]
+            + [vm(2 + i, lease=now - 600.0, busy=now + 3_000.0) for i in range(2)],
+            max_vms=4, boot_delay=100.0,
+        ),
+        waits=[2_000.0, 0.0, 10.0],
+    )
+
+    # Service-shaped: no boot delay and more VMs rented than the cap, as
+    # for a tenant whose fair share shrank (headroom 0).
+    add(
+        "service-over-grant",
+        jobs_with([(600.0, 5), (90.0, 1), (250.0, 2), (40.0, 1)]),
+        profile_from_vms(
+            now,
+            [vm(i, lease=now - 200.0 * i) for i in range(3)]
+            + [vm(3, lease=now - 700.0, busy=now + 400.0),
+               vm(4, lease=now - 900.0, busy=now + 900.0)],
+            max_vms=2, boot_delay=0.0,
+        ),
+        waits=[300.0, 20.0, 60.0, 0.0],
+    )
+
+    # ODX at headroom > 0 with nothing urgent yet: the step is quiet, but
+    # a threshold-3 urgency flip (no wake-up marks it) leases mid-stretch.
+    add(
+        "odx-headroom",
+        jobs_with([(400.0, 4), (200.0, 1), (200.0, 1), (200.0, 1)]),
+        profile_from_vms(
+            now,
+            [vm(i, lease=now - 100.0) for i in range(3)]
+            + [vm(3, lease=now - 500.0, busy=now + 3_000.0)],
+            max_vms=8, boot_delay=100.0,
+        ),
+        waits=[50.0, 30.0, 20.0, 10.0],
+    )
+
+    # Float plateaus: past 2**60 the head's wait absorbs dt < 128, so its
+    # UNICEF priority stays 2**57 + 32; the narrow job, first in queue
+    # order, rounds to exactly that from dt = 20 to the busy VM's finish
+    # at dt = 45.  Queue order breaks the tie, so the narrow job tops the
+    # order at dt = 20 and the stretch must end there.
+    add(
+        "plateau-tie",
+        jobs_with([(1.0, 1), (8.0, 2)]),
+        profile_from_vms(
+            now,
+            [vm(0, lease=now - 100.0), vm(1, lease=now - 100.0, busy=now + 45.0)],
+            max_vms=2, boot_delay=100.0,
+        ),
+        waits=[2.0 ** 57, 2.0 ** 60 + 256.0],
+    )
+
     return states
+
+
+def jobs_with(shapes):
+    """Jobs from ``(runtime, procs)`` pairs, in queue order."""
+    return [
+        Job(job_id=i, submit_time=0.0, runtime=rt, procs=p)
+        for i, (rt, p) in enumerate(shapes)
+    ]
+
+
+def starving_state():
+    """A head wider than the whole capped fleet, with no busy or booting
+    VM (so no next event) and headroom 0: FCFS members starve, and every
+    member ends at ``max_steps``."""
+    now = 7_200.0
+    jobs = jobs_with([(500.0, 4), (120.0, 1), (60.0, 2)])
+    profile = profile_from_vms(
+        now, [vm(i, lease=now - 100.0 * i) for i in range(3)],
+        max_vms=3, boot_delay=100.0,
+    )
+    return jobs, [900.0, 30.0, 0.0], [j.runtime for j in jobs], profile
+
+
+def odx3_members():
+    """Two ODX members on a non-default threshold: their urgency flips
+    fall between the kernel's (threshold-2) crossing wake-ups."""
+    odx3 = ODX()
+    odx3.threshold = 3.0
+    return [
+        CombinedPolicy(odx3, FCFS(), FirstFit()),
+        CombinedPolicy(odx3, FCFS(), BestFit()),
+    ]
 
 
 def swf_state():
@@ -217,7 +333,7 @@ def test_differential_soak_fast_vs_reference(rv_accounting):
     """Every (state, policy) pair scores bit-identically on both kernels."""
     fast = OnlineSimulator(kernel="fast", rv_accounting=rv_accounting)
     ref = OnlineSimulator(kernel="reference", rv_accounting=rv_accounting)
-    portfolio = build_portfolio()
+    portfolio = build_portfolio() + odx3_members()
     spot_members = spot_portfolio_members()
     checked = 0
     for label, queue, waits, runtimes, profile in synthetic_states():
@@ -246,6 +362,101 @@ def test_differential_soak_swf_workload():
         ), policy.name
 
 
+# ---------------------------------------------------------------------------
+# satellite: truncation penalty horizon
+#
+# Kept ahead of the rider tests: under ``-x`` a skip that ignored
+# ``max_steps`` fails here instead of spinning in a starving rider run.
+
+
+def truncation_cases():
+    """``(label, state, max_steps)`` whose cut lands inside a quiet
+    stretch; a stretch that ends at its next event comes first."""
+    late = next(s[1:] for s in synthetic_states() if s[0] == "fcfs-late-busy")
+    return [
+        (f"{label}/{max_steps}", state, max_steps)
+        for label, state in (("fcfs-late-busy", late), ("starving", starving_state()))
+        for max_steps in (1, 3, 50)
+    ]
+
+
+class TestTruncation:
+    def test_max_steps_one_truncates_with_horizon_penalty(self):
+        queue, waits, runtimes, profile = truncation_state()
+        for kernel in ("fast", "reference"):
+            sim = OnlineSimulator(kernel=kernel, max_steps=1)
+            out = sim.evaluate(queue, waits, runtimes, profile, build_portfolio()[0])
+            assert out.truncated
+            assert out.score == 0.0
+            # Never-started job: penalised against the simulated horizon
+            # (t), not the started-jobs end time (t0 when none started).
+            t0 = profile.now
+            t = out.end_time if out.end_time > t0 else t0 + sim.tick
+            est = max(runtimes[0], 1.0)
+            denom = max(est, 10.0)
+            total_wait = waits[0] + (sim.tick - 0.0) + (sim.tick - 0.0)
+            expected_bsd = max(1.0, (total_wait + denom) / denom)
+            assert out.bsd == pytest.approx(expected_bsd)
+
+    def test_truncated_never_beats_a_draining_policy(self):
+        """A drained non-empty queue always scores strictly positive, so
+        the pinned 0.0 truncation score can never win a selection."""
+        sim = OnlineSimulator()
+        queue = jobs_of(3, procs=1, runtime=100.0)
+        profile = profile_from_vms(0.0, [vm(0, lease=-100.0, ready=0.0)], max_vms=8)
+        drained = sim.evaluate(queue, [0.0] * 3, [100.0] * 3, profile, build_portfolio()[0])
+        assert not drained.truncated
+        assert drained.score > 0.0
+
+        tq, tw, tr, tp = truncation_state()
+        truncated = OnlineSimulator(max_steps=1).evaluate(
+            tq, tw, tr, tp, build_portfolio()[0]
+        )
+        assert truncated.truncated
+        assert truncated.score < drained.score
+
+    def test_truncated_outcomes_identical_across_kernels(self):
+        """Also where the cut lands inside a quiet stretch: a skipped step
+        counts toward ``max_steps`` and truncates on the reference's step,
+        with the reference's ``t``."""
+        cases = [("truncation", truncation_state(), 1)] + truncation_cases()
+        for label, (queue, waits, runtimes, profile), max_steps in cases:
+            fast = OnlineSimulator(kernel="fast", max_steps=max_steps)
+            ref = OnlineSimulator(kernel="reference", max_steps=max_steps)
+            for policy in build_portfolio() + odx3_members():
+                expected = ref.evaluate(queue, waits, runtimes, profile, policy)
+                assert fast.evaluate(queue, waits, runtimes, profile, policy) == (
+                    expected
+                ), (label, policy.name)
+
+
+def test_quiet_stretches_are_skipped(monkeypatch):
+    """The fast-forward fires on the quiet-stretch states: fewer
+    allocation passes than counted steps."""
+    walks = []
+    walk = fast_sim._walk
+    monkeypatch.setattr(fast_sim, "_walk", lambda *a: walks.append(1) or walk(*a))
+    fast = OnlineSimulator(kernel="fast")
+    states = {s[0]: s[1:] for s in synthetic_states()}
+    for label, name in (
+        ("fcfs-late-busy", "ODA-FCFS-FirstFit"),
+        ("narrow-overtakes", "ODB-LXF-BestFit"),
+        ("narrow-overtakes", "ODM-UNICEF-FirstFit"),
+        ("narrow-overtakes", "ODE-WFP3-WorstFit"),
+        ("service-over-grant", "ODX-FCFS-FirstFit"),
+    ):
+        queue, waits, runtimes, profile = states[label]
+        policy = policy_by_name(name)
+        walks.clear()
+        out = fast.evaluate(queue, waits, runtimes, profile, policy)
+        assert len(walks) < out.steps, (label, name, len(walks), out.steps)
+    queue, waits, runtimes, profile = starving_state()
+    walks.clear()
+    out = OnlineSimulator(max_steps=100_000).evaluate(
+        queue, waits, runtimes, profile, policy_by_name("ODA-FCFS-FirstFit"))
+    assert out.truncated and out.steps == 100_001 and len(walks) == 1
+
+
 class _Tagged(CombinedPolicy):
     """A subclass: same formulas, but the kernel may not assume so."""
 
@@ -254,11 +465,7 @@ def rider_members():
     """The 66-member spot portfolio plus two ODX members on a non-default
     threshold (which may ride with each other, never with the default
     ODX) and a subclass member (which never rides)."""
-    odx3 = ODX()
-    odx3.threshold = 3.0
-    return build_portfolio() + spot_portfolio_members() + [
-        CombinedPolicy(odx3, FCFS(), FirstFit()),
-        CombinedPolicy(odx3, FCFS(), BestFit()),
+    return build_portfolio() + spot_portfolio_members() + odx3_members() + [
         _Tagged(ODA(), FCFS(), FirstFit()),
     ]
 
@@ -273,6 +480,8 @@ def rider_states():
     states.append(("swf", *swf_state(), OnlineSimulator()))
     states.append(("truncated", *truncation_state(), OnlineSimulator(max_steps=1)))
     states.append(("truncated-late", *truncation_state(), OnlineSimulator(max_steps=3)))
+    states += [(f"truncated-quiet/{label}", *state, OnlineSimulator(max_steps=max_steps))
+               for label, state, max_steps in truncation_cases()]
     return states
 
 
@@ -487,56 +696,6 @@ def test_charged_is_integer_multiple_of_period():
         c = _charged(lease, end, HOUR)
         assert c >= HOUR
         assert c / HOUR == int(c / HOUR)
-
-
-# ---------------------------------------------------------------------------
-# satellite: truncation penalty horizon
-
-
-class TestTruncation:
-    def test_max_steps_one_truncates_with_horizon_penalty(self):
-        queue, waits, runtimes, profile = truncation_state()
-        for kernel in ("fast", "reference"):
-            sim = OnlineSimulator(kernel=kernel, max_steps=1)
-            out = sim.evaluate(queue, waits, runtimes, profile, build_portfolio()[0])
-            assert out.truncated
-            assert out.score == 0.0
-            # Never-started job: penalised against the simulated horizon
-            # (t), not the started-jobs end time (t0 when none started).
-            t0 = profile.now
-            t = out.end_time if out.end_time > t0 else t0 + sim.tick
-            est = max(runtimes[0], 1.0)
-            denom = max(est, 10.0)
-            total_wait = waits[0] + (sim.tick - 0.0) + (sim.tick - 0.0)
-            expected_bsd = max(1.0, (total_wait + denom) / denom)
-            assert out.bsd == pytest.approx(expected_bsd)
-
-    def test_truncated_never_beats_a_draining_policy(self):
-        """A drained non-empty queue always scores strictly positive, so
-        the pinned 0.0 truncation score can never win a selection."""
-        sim = OnlineSimulator()
-        queue = jobs_of(3, procs=1, runtime=100.0)
-        profile = profile_from_vms(0.0, [vm(0, lease=-100.0, ready=0.0)], max_vms=8)
-        drained = sim.evaluate(queue, [0.0] * 3, [100.0] * 3, profile, build_portfolio()[0])
-        assert not drained.truncated
-        assert drained.score > 0.0
-
-        tq, tw, tr, tp = truncation_state()
-        truncated = OnlineSimulator(max_steps=1).evaluate(
-            tq, tw, tr, tp, build_portfolio()[0]
-        )
-        assert truncated.truncated
-        assert truncated.score < drained.score
-
-    def test_truncated_outcomes_identical_across_kernels(self):
-        queue, waits, runtimes, profile = truncation_state()
-        outs = [
-            OnlineSimulator(kernel=k, max_steps=1).evaluate(
-                queue, waits, runtimes, profile, build_portfolio()[0]
-            )
-            for k in ("fast", "reference")
-        ]
-        assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
