@@ -1,12 +1,11 @@
-"""Parallel-subsystem benchmarks: campaign fan-out and wave evaluation.
+"""Parallel-subsystem benchmark: campaign fan-out.
 
 Measures the same fig7-sized campaign (the full four-trace grid at a
-quarter of the benchmark horizon) serially and with 2 and 4 workers, plus
-a microbenchmark of :class:`ParallelPortfolioEvaluator` against the
-serial evaluation loop.  Results land in ``BENCH_parallel.json`` at the
-repo root, alongside the host's core count — speedups are only meaningful
-relative to ``cpus``; on a single-core host the parallel runs measure
-pure overhead (spawn + pickling), which is worth tracking too.
+quarter of the benchmark horizon) serially and with 2 and 4 workers.
+Results land in ``BENCH_parallel.json`` at the repo root, alongside the
+host's core count — speedups are only meaningful relative to ``cpus``;
+on a single-core host the parallel runs measure pure overhead (spawn +
+pickling), which is worth tracking too.
 
 Serial/parallel *equivalence* is asserted here as well: a benchmark that
 got faster by computing something different would be worthless.
@@ -20,16 +19,11 @@ import time
 
 from _common import run_once, save_and_show, save_json
 
-from repro.cloud.profile import CloudProfile
-from repro.core.online_sim import OnlineSimulator
 from repro.experiments.cache import clear_cache
 from repro.experiments.configs import DEFAULT_SCALE, ExperimentScale
 from repro.experiments.export import result_to_dict
 from repro.metrics.report import format_table
-from repro.parallel import Campaign, ParallelPortfolioEvaluator, comparison_cells
-from repro.parallel.evaluator import _evaluate_chunk
-from repro.policies.combined import build_portfolio
-from repro.workload.job import Job
+from repro.parallel import Campaign, comparison_cells
 
 #: Quarter of the benchmark horizon: a fig7-shaped grid (4 traces × 61
 #: cells) that a laptop finishes in tens of seconds.
@@ -102,58 +96,3 @@ def test_campaign_scaling(benchmark):
         root=True,
     )
 
-
-def test_portfolio_eval_microbench(benchmark):
-    """60-policy wave evaluation: in-process loop vs the worker pool."""
-    portfolio = build_portfolio()
-    queue = [
-        Job(job_id=i, submit_time=0.0, runtime=120.0 * (1 + i % 7), procs=1 + i % 4)
-        for i in range(48)
-    ]
-    waits = [15.0 * (i % 9) for i in range(48)]
-    runtimes = [j.runtime for j in queue]
-    profile = CloudProfile(
-        now=600.0, vms=(), max_vms=256, boot_delay=120.0, billing_period=3_600.0
-    )
-    wave = list(enumerate(portfolio))
-    rounds = 5
-
-    def serial() -> list:
-        sim = OnlineSimulator()
-        out = []
-        for _ in range(rounds):
-            out = _evaluate_chunk(sim, wave, queue, waits, runtimes, profile)
-        return out
-
-    serial_begin = time.perf_counter()
-    serial_records = run_once(benchmark, serial)
-    serial_wall = time.perf_counter() - serial_begin
-
-    walls = {}
-    for workers in (2, 4):
-        evaluator = ParallelPortfolioEvaluator(OnlineSimulator(), workers)
-        evaluator.evaluate_wave(wave, queue, waits, runtimes, profile)  # warm pool
-        begin = time.perf_counter()
-        for _ in range(rounds):
-            records = evaluator.evaluate_wave(wave, queue, waits, runtimes, profile)
-        walls[workers] = time.perf_counter() - begin
-        assert [(r.index, r.outcome.score) for r in records] == [
-            (r.index, r.outcome.score) for r in serial_records
-        ]
-
-    save_json(
-        "BENCH_parallel",
-        {
-            "portfolio_eval": {
-                "policies": len(portfolio),
-                "queue_jobs": len(queue),
-                "rounds": rounds,
-                "serial_wall_s": round(serial_wall, 4),
-                "workers2_wall_s": round(walls[2], 4),
-                "workers4_wall_s": round(walls[4], 4),
-                "speedup_workers2": round(serial_wall / walls[2], 3),
-                "speedup_workers4": round(serial_wall / walls[4], 3),
-            },
-        },
-        root=True,
-    )

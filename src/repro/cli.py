@@ -99,26 +99,6 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def _rate(text: str) -> float:
     value = _number(text)
     if not 0.0 <= value <= 1.0:
@@ -340,21 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="online-simulator kernel (default: fast; "
                         "'reference' is bit-identical and ~3x slower)")
 
-    parallel = p_run.add_argument_group(
-        "parallel evaluation",
-        "evaluate portfolio policies on worker processes; 0 (default) is "
-        "the serial path, bit-identical to previous releases; with N > 0 "
-        "the time constraint is charged in aggregate worker-seconds",
-    )
-    parallel.add_argument("--workers", type=_nonneg_int, default=0, metavar="N",
-                          help="worker processes for Algorithm 1's policy "
-                          "simulations (portfolio runs only)")
-    parallel.add_argument("--worker-deadline", type=_positive_float,
-                          metavar="SECONDS",
-                          help="watchdog: SIGKILL and respawn the wave's "
-                          "workers if one evaluation wave exceeds this many "
-                          "wall-clock seconds (default: wait forever)")
-
     obs = p_run.add_argument_group(
         "observability",
         "structured run tracing and span profiling; with both off "
@@ -368,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "lifecycle and billing settlements; inspect with "
                      "'repro trace-report'")
     obs.add_argument("--profile", action="store_true",
-                     help="time hot-path spans (kernel dispatch, Algorithm 1, "
-                     "parallel waves) and print the top spans after the run")
+                     help="time hot-path spans (kernel dispatch, Algorithm 1) "
+                     "and print the top spans after the run")
     obs.add_argument("--prom-out", metavar="PATH",
                      help="write the final result as Prometheus text-format "
                      "metrics")
@@ -737,8 +702,6 @@ def _build_engine(args: argparse.Namespace):
                 seed=7,
                 quarantine_limit=args.quarantine_limit,
                 safe_policy=args.safe_policy,
-                workers=args.workers,
-                worker_deadline=args.worker_deadline,
                 kernel=getattr(args, "kernel", "fast"),
                 **portfolio_kwargs,
             )

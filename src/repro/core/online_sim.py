@@ -643,7 +643,3 @@ class OnlineSimulator:
             booked = _charged(vm.lease_time, t0, period)
             return max(0.0, full - booked)
         return full
-
-    #: Kept as a static method alias for existing callers/tests; the
-    #: module-level :func:`_charged` is the single implementation.
-    _charged = staticmethod(_charged)

@@ -112,18 +112,6 @@ class PortfolioScheduler(Scheduler):
         The fixed policy applied after failover — a policy object, a
         portfolio member's name, or ``None`` for the first portfolio
         member.
-    workers:
-        Evaluate portfolio policies on this many worker processes via
-        :class:`~repro.parallel.evaluator.ParallelPortfolioEvaluator`.
-        0 (default) is the serial path, bit-identical to previous
-        releases.  With workers > 0, Δ is charged in aggregate
-        worker-seconds (see docs/ARCHITECTURE.md).
-    worker_deadline:
-        Watchdog for parallel evaluation: wall-clock seconds one wave of
-        policy evaluations may take before its workers are presumed hung
-        and SIGKILLed (the wave is retried, then degrades to serial).
-        ``None`` (default) waits indefinitely.  Ignored when
-        ``workers == 0``.
     kernel:
         Online-simulator kernel: ``"fast"`` (default, warm-start slot
         arrays with bit-identical scoring) or ``"reference"`` (the
@@ -145,8 +133,6 @@ class PortfolioScheduler(Scheduler):
         reflection_weight: float = 0.0,
         quarantine_limit: int | None = None,
         safe_policy: CombinedPolicy | str | None = None,
-        workers: int = 0,
-        worker_deadline: float | None = None,
         kernel: str = "fast",
     ) -> None:
         if not 0.0 <= reflection_weight <= 1.0:
@@ -159,8 +145,6 @@ class PortfolioScheduler(Scheduler):
             raise ValueError(
                 f"quarantine_limit must be >= 1, got {quarantine_limit}"
             )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         members = list(portfolio) if portfolio is not None else build_portfolio()
         self.utility = utility or UtilityFunction()
         self.simulator = OnlineSimulator(
@@ -170,15 +154,6 @@ class PortfolioScheduler(Scheduler):
             release_rule=release_rule,
             kernel=kernel,
         )
-        self.workers = int(workers)
-        evaluator = None
-        if self.workers > 0:
-            # Imported lazily: repro.parallel imports this module.
-            from repro.parallel.evaluator import ParallelPortfolioEvaluator
-
-            evaluator = ParallelPortfolioEvaluator(
-                self.simulator, self.workers, wave_deadline=worker_deadline
-            )
         self.selector = TimeConstrainedSelector(
             members,
             simulator=self.simulator,
@@ -186,7 +161,6 @@ class PortfolioScheduler(Scheduler):
             lam=lam,
             cost_clock=cost_clock,
             rng=np.random.default_rng(seed),
-            evaluator=evaluator,
         )
         self.selection_period = int(selection_period)
         self.reflection = ReflectionStore()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.core.online_sim import OnlineSimulator, SimOutcome
 from repro.policies.combined import CombinedPolicy
 from repro.sim.clock import CostClock, WallCostClock
 from repro.workload.job import Job
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.parallel)
-    from repro.parallel.evaluator import ParallelPortfolioEvaluator
 
 __all__ = [
     "PolicyScore",
@@ -121,12 +118,6 @@ class TimeConstrainedSelector:
         How ``c_i`` is measured (wall clock by default).
     rng:
         Source of the random picks from Poor (seed it for replays).
-    evaluator:
-        Optional :class:`~repro.parallel.evaluator.ParallelPortfolioEvaluator`:
-        policy simulations run concurrently on the shared worker pool and
-        Δ is charged in aggregate worker-seconds (see the parallel
-        subsystem docs).  ``None`` (default) is the paper's serial path,
-        bit-identical to previous releases.
     """
 
     def __init__(
@@ -137,7 +128,6 @@ class TimeConstrainedSelector:
         lam: float = 0.6,
         cost_clock: CostClock | None = None,
         rng: np.random.Generator | None = None,
-        evaluator: "ParallelPortfolioEvaluator | None" = None,
     ) -> None:
         if not portfolio:
             raise ValueError("portfolio must not be empty")
@@ -150,14 +140,10 @@ class TimeConstrainedSelector:
         self.lam = float(lam)
         self.cost_clock = cost_clock or WallCostClock()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.evaluator = evaluator
 
         self.smart: list[CombinedPolicy] = list(portfolio)
         self.stale: list[CombinedPolicy] = []
         self.poor: list[CombinedPolicy] = []
-        #: Fixed index of each member in the constructed portfolio: the
-        #: deterministic tie-break of the parallel merge order.
-        self._policy_index = {p.name: i for i, p in enumerate(portfolio)}
         self.invocations = 0
         self.total_simulated = 0
         #: Total evaluations quarantined (exceptions swallowed) so far.
@@ -178,11 +164,10 @@ class TimeConstrainedSelector:
         self.consecutive_quarantines = 0
         #: Optional :class:`~repro.obs.profiler.Profiler`.  When set,
         #: every online-simulation call is timed into the
-        #: ``selector.evaluate`` span (worker-side walls are merged into
-        #: ``selector.evaluate.worker`` under parallel evaluation) and
-        #: each Algorithm 1 invocation into ``selector.select``.  ``None``
-        #: (default) adds no clock reads: charged costs always come from
-        #: ``cost_clock``, never from the profiler.
+        #: ``selector.evaluate`` span and each Algorithm 1 invocation into
+        #: ``selector.select``.  ``None`` (default) adds no clock reads:
+        #: charged costs always come from ``cost_clock``, never from the
+        #: profiler.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -197,20 +182,17 @@ class TimeConstrainedSelector:
         """Set up the round's warm-start prefix and shared-outcome memo.
 
         The prefix (:meth:`OnlineSimulator.prepare`) is built once and
-        shared by every serial evaluation this round; the memo starts
-        empty, so no outcome crosses rounds.  Both are gated on the fast
-        kernel so ``--kernel reference`` keeps the historical evaluation
-        path bit-for-bit, and neither serves the parallel path, whose
-        workers evaluate one member per task.  Overrides are detected
-        against the class attributes at call time, so a wrapper
-        installed on :class:`OnlineSimulator` itself is not mistaken for
-        one.
+        shared by every evaluation this round; the memo starts empty, so
+        no outcome crosses rounds.  Both are gated on the fast kernel so
+        ``--kernel reference`` keeps the historical evaluation path
+        bit-for-bit.  Overrides are detected against the class attributes
+        at call time, so a wrapper installed on :class:`OnlineSimulator`
+        itself is not mistaken for one.
         """
         simulator = self.simulator
         self._memo = None
         if (
-            self.evaluator is not None
-            or getattr(simulator, "kernel", "reference") != "fast"
+            getattr(simulator, "kernel", "reference") != "fast"
             # A subclass overriding ``evaluate`` (stubs, instrumentation)
             # must keep seeing one call per policy: the prepared path
             # would silently bypass the override.
@@ -325,10 +307,6 @@ class TimeConstrainedSelector:
         Follows the paper's pseudo-code exactly: quota split (lines 1-2),
         sequential Smart and Stale phases (3-12), leftover-funded random
         Poor phase (13-19), set rebuild (20-23), best-first return (24).
-        With a parallel ``evaluator``, phases 2a-2c run in concurrent
-        waves instead (same visit order, Δ charged in aggregate
-        worker-seconds) and the score table is merged with a
-        deterministic total order.
         """
         select_begin = _time.perf_counter() if self.profiler is not None else 0.0
         delta = self.time_constraint
@@ -337,22 +315,11 @@ class TimeConstrainedSelector:
         d1, d2, d3 = split_budget(
             delta, len(self.smart), len(self.stale), len(self.poor)
         )
-        if self.evaluator is not None:
-            simulated, spent = self._phases_parallel(
-                d1, d2, d3, queue, waits, runtimes, profile
-            )
-            # Deterministic total order — (score desc, fixed policy index)
-            # — so the merge cannot depend on worker completion order.
-            simulated.sort(
-                key=lambda ps: (-ps.score, self._policy_index[ps.policy.name])
-            )
-        else:
-            simulated, spent = self._phases_serial(
-                d1, d2, d3, queue, waits, runtimes, profile
-            )
-            # Stable sort on score alone: preserves simulation order among
-            # ties, bit-identical to the historical serial selector.
-            simulated.sort(key=lambda ps: -ps.score)
+        simulated, spent = self._phases(
+            d1, d2, d3, queue, waits, runtimes, profile
+        )
+        # Stable sort on score alone: preserves simulation order among ties.
+        simulated.sort(key=lambda ps: -ps.score)
 
         # Phase 3: rebuild the sets.
         # Unsimulated Smart policies age into the end of Stale.
@@ -377,7 +344,7 @@ class TimeConstrainedSelector:
             n_shared=self.memo_hits - hits_before,
         )
 
-    def _phases_serial(
+    def _phases(
         self,
         d1: float,
         d2: float,
@@ -416,93 +383,6 @@ class TimeConstrainedSelector:
             d3 -= cost
             spent += cost
 
-        return simulated, spent
-
-    def _phases_parallel(
-        self,
-        d1: float,
-        d2: float,
-        d3: float,
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
-    ) -> tuple[list[PolicyScore], float]:
-        """Phases 2a-2c in concurrent waves on the worker pool.
-
-        Visit order matches the serial loop (Smart in order, Stale in
-        staleness order, Poor by the same seeded random picks).  Each
-        wave ships at most ``evaluator.workers`` policies; the wave's
-        summed per-policy costs are charged against the phase quota, so Δ
-        is a budget of aggregate worker-seconds (documented deviation).
-        """
-        evaluator = self.evaluator
-        assert evaluator is not None
-        simulated: list[PolicyScore] = []
-        spent = 0.0
-
-        def run_phase(take_next: "Callable[[], CombinedPolicy | None]",
-                      budget: float) -> float:
-            nonlocal spent
-            while budget > 0:
-                wave: list[tuple[int, CombinedPolicy]] = []
-                for _ in range(evaluator.workers):
-                    policy = take_next()
-                    if policy is None:
-                        break
-                    wave.append((self._policy_index[policy.name], policy))
-                if not wave:
-                    break
-                by_index = {index: policy for index, policy in wave}
-                wave_begin = (
-                    _time.perf_counter() if self.profiler is not None else 0.0
-                )
-                records = evaluator.evaluate_wave(
-                    wave, queue, waits, runtimes, profile
-                )
-                if self.profiler is not None:
-                    # Parent-side elapsed wave time, plus the per-policy
-                    # walls measured inside the workers merged back in.
-                    self.profiler.add(
-                        "selector.wave", _time.perf_counter() - wave_begin
-                    )
-                    for rec in records:
-                        self.profiler.add("selector.evaluate.worker", rec.wall)
-                for rec in records:  # submission order, like the serial loop
-                    policy = by_index[rec.index]
-                    if rec.error is not None:
-                        self.quarantined += 1
-                        self.consecutive_quarantines += 1
-                        ps = PolicyScore(
-                            policy=policy,
-                            score=QUARANTINE_SCORE,
-                            cost=self.cost_clock.measure(rec.wall, 0),
-                            outcome=None,
-                            quarantined=True,
-                        )
-                    else:
-                        self.consecutive_quarantines = 0
-                        assert rec.outcome is not None
-                        ps = PolicyScore(
-                            policy=policy,
-                            score=rec.outcome.score,
-                            cost=self.cost_clock.measure(rec.wall, rec.outcome.steps),
-                            outcome=rec.outcome,
-                        )
-                    simulated.append(ps)
-                    budget -= ps.cost
-                    spent += ps.cost
-            return budget
-
-        d1 = run_phase(lambda: self.smart.pop(0) if self.smart else None, d1)
-        d2 = run_phase(lambda: self.stale.pop(0) if self.stale else None, d2)
-
-        def pick_poor() -> CombinedPolicy | None:
-            if not self.poor:
-                return None
-            return self.poor.pop(int(self.rng.integers(len(self.poor))))
-
-        run_phase(pick_poor, d3 + d2 + d1)
         return simulated, spent
 
     def _rebuild_sets(self, simulated: list[PolicyScore]) -> CombinedPolicy:

@@ -120,8 +120,8 @@ class EngineConfig:
     #: code path.
     trace: "TraceConfig | None" = None
     #: Lightweight span profiling of the hot paths (kernel dispatch,
-    #: Algorithm 1, parallel waves).  Wall-clock observation only — the
-    #: profiler never feeds back into simulated time or Δ accounting.
+    #: Algorithm 1).  Wall-clock observation only — the profiler never
+    #: feeds back into simulated time or Δ accounting.
     profile: bool = False
     #: Hostile-cloud layer (:mod:`repro.cloud.spot`): a seeded spot market
     #: (preemptible VMs, price process, bid crossings), control-plane

@@ -13,8 +13,8 @@ unless explicitly switched on:
   round records.
 * :class:`~repro.obs.profiler.Profiler` — lightweight span aggregation
   (count / total / max seconds) over the hot paths: kernel event
-  dispatch, Algorithm 1 policy evaluation, parallel waves, campaign
-  cells.  Worker-side costs are merged back into the parent profiler.
+  dispatch, Algorithm 1 policy evaluation, campaign cells.  Campaign
+  cells' worker-side walls are merged back into the parent profiler.
 * :mod:`~repro.obs.exporter` — JSON summary and Prometheus text-format
   output of run metrics, span stats, and trace record counts.
 

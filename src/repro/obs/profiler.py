@@ -13,9 +13,8 @@ opened three ways:
   carries a ``profiler`` attribute — a no-op (zero timing calls) when
   the attribute is absent or ``None``.
 
-Worker merge: the parallel subsystem measures costs inside worker
-processes (per-policy evaluation walls, per-cell run walls) and merges
-them back with :meth:`Profiler.merge` / :meth:`Profiler.add`, so one
+Worker merge: a parallel campaign measures each cell's run wall inside
+its worker process and merges it back with :meth:`Profiler.add`, so one
 parent profiler sees the whole fan-out.
 
 Profilers hold only plain dicts and floats: they pickle inside

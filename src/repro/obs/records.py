@@ -19,7 +19,7 @@ Record kinds
     One per scheduling round (engine tick with a non-empty queue):
     ``round`` (the tick index), queue/fleet gauges, and the applied
     policy.  When Algorithm 1 ran this round, a nested ``selection``
-    object carries the budget Δ, the spent worker-seconds, every
+    object carries the budget Δ, the Δ seconds spent, every
     simulated policy's score and charged cost (quarantined evaluations
     flagged), how many of those scores a shared kernel run answered
     (``n_shared``), and the rebuilt Smart/Stale/Poor membership.

@@ -1,20 +1,13 @@
-"""Parallel execution subsystem: multi-process portfolio evaluation and
-campaign fan-out over one persistent, spawn-safe process pool.
+"""Parallel execution subsystem: campaign fan-out over a spawn-safe
+process pool.
 
-Two layers share the pool (:mod:`repro.parallel.pool`):
+:class:`~repro.parallel.campaign.Campaign` fans a figure/table grid out
+as independent cells (``repro campaign fig7 --workers N``) on the pool
+of :mod:`repro.parallel.pool`, memoised in a content-addressed,
+crash-safe disk cache (:class:`~repro.parallel.cellcache.CellCache`).
 
-* :class:`~repro.parallel.evaluator.ParallelPortfolioEvaluator` — runs
-  Algorithm 1's online policy simulations concurrently inside one
-  engine run (wired through ``PortfolioScheduler(workers=N)`` and
-  ``repro run --workers N``);
-* :class:`~repro.parallel.campaign.Campaign` — fans a figure/table grid
-  out as independent cells (``repro campaign fig7 --workers N``),
-  memoised in a content-addressed, crash-safe disk cache
-  (:class:`~repro.parallel.cellcache.CellCache`).
-
-``workers=0`` everywhere means the historical serial path, bit-identical
-to a build without this subsystem.  See docs/ARCHITECTURE.md for the
-pool lifecycle and the parallel Δ-budget semantics.
+``workers=0`` means the serial path, bit-identical to the parallel one.
+See docs/ARCHITECTURE.md for the pool lifecycle.
 """
 
 from repro.parallel.campaign import (
@@ -27,10 +20,8 @@ from repro.parallel.campaign import (
     install_results,
 )
 from repro.parallel.cellcache import CELL_CACHE_FORMAT, CellCache
-from repro.parallel.evaluator import EvalRecord, ParallelPortfolioEvaluator
 from repro.parallel.pool import (
     WorkerPool,
-    cpu_workers,
     get_pool,
     reset_pool,
     shutdown_pool,
@@ -44,11 +35,8 @@ __all__ = [
     "CellSpec",
     "CELL_CACHE_FORMAT",
     "CellCache",
-    "EvalRecord",
-    "ParallelPortfolioEvaluator",
     "WorkerPool",
     "comparison_cells",
-    "cpu_workers",
     "get_pool",
     "install_results",
     "reset_pool",

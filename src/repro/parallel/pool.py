@@ -1,10 +1,8 @@
-"""The shared worker pool: one persistent, spawn-safe process pool.
+"""The worker pool: one persistent, spawn-safe process pool.
 
-Both layers of the parallel subsystem — intra-run portfolio evaluation
-(:mod:`repro.parallel.evaluator`) and cross-run campaign fan-out
-(:mod:`repro.parallel.campaign`) — draw workers from the single
-process-global pool managed here, so a campaign whose cells themselves
-evaluate portfolios never oversubscribes the machine with nested pools.
+Campaign fan-out (:mod:`repro.parallel.campaign`) draws its workers
+from the process-global pool managed here, unless it asks for a
+dedicated one (``Campaign(fresh_pool=True)``).
 
 Design points:
 
@@ -15,8 +13,8 @@ Design points:
   fresh and receives every task argument by pickle, which is exactly the
   determinism contract the rest of this repository already relies on.
 * **Persistence.**  The pool is created lazily on first use, survives
-  across campaigns/selector invocations (amortising the interpreter
-  start-up cost), and is torn down from an ``atexit`` hook.
+  across campaigns (amortising the interpreter start-up cost), and is
+  torn down from an ``atexit`` hook.
 * **Crash containment.**  A worker death poisons the underlying
   :class:`~concurrent.futures.ProcessPoolExecutor`
   (:class:`~concurrent.futures.process.BrokenProcessPool`); callers
@@ -53,12 +51,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.chaos.hooks import task_action
 
-__all__ = ["WorkerPool", "get_pool", "reset_pool", "shutdown_pool", "cpu_workers"]
-
-
-def cpu_workers() -> int:
-    """A sensible default worker count: every core the host exposes."""
-    return os.cpu_count() or 1
+__all__ = ["WorkerPool", "get_pool", "reset_pool", "shutdown_pool"]
 
 
 def _init_worker() -> None:  # pragma: no cover - runs in the child process
@@ -95,8 +88,8 @@ class WorkerPool:
         self.workers = int(workers)
         self._executor: ProcessPoolExecutor | None = None
         # Guards the executor handoff in reset()/shutdown(): the atexit
-        # hook, a service drain, and a watchdog can all race to tear the
-        # pool down, and exactly one of them may own (and join) the
+        # hook, an explicit teardown, and a watchdog can all race to tear
+        # the pool down, and exactly one of them may own (and join) the
         # executor — the rest must see None and return, never double-join.
         self._teardown_lock = threading.Lock()
 
@@ -175,8 +168,8 @@ class WorkerPool:
         ``timeout=None`` restores the unbounded wait.
 
         Idempotent: a second (or concurrent) caller — the atexit hook
-        racing a service drain, say — finds ``_executor`` already handed
-        off and returns without joining anything twice."""
+        racing an explicit teardown, say — finds ``_executor`` already
+        handed off and returns without joining anything twice."""
         with self._teardown_lock:
             executor = self._executor
             self._executor = None
@@ -207,9 +200,9 @@ _pool_lock = threading.Lock()
 def get_pool(workers: int) -> WorkerPool:
     """The process-global pool, grown (never shrunk) to *workers*.
 
-    Growing requires a respawn; both layers tolerate that because they
-    only hold a pool reference for the duration of one wave/campaign
-    batch and re-fetch it afterwards."""
+    Growing requires a respawn; campaigns tolerate that because they
+    only hold a pool reference for the duration of one batch and
+    re-fetch it afterwards."""
     global _pool
     outgrown = None
     with _pool_lock:
@@ -241,8 +234,8 @@ def reset_pool() -> None:
 def shutdown_pool() -> None:
     """Tear the global pool down (atexit, and tests that want isolation).
 
-    Safe to call twice — the atexit hook and an explicit service-drain
-    teardown both land here, and only the first finds a pool to join."""
+    Safe to call twice — the atexit hook and an explicit teardown both
+    land here, and only the first finds a pool to join."""
     global _pool
     with _pool_lock:
         pool, _pool = _pool, None

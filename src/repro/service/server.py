@@ -527,16 +527,5 @@ class ServiceServer:
 
 
 def run_service(config: ServiceConfig) -> int:
-    """Blocking entry point: serve until drained, return the exit code.
-
-    Also tears the process-global worker pool down on the way out (the
-    idempotent :func:`~repro.parallel.pool.shutdown_pool`, so the atexit
-    hook finding it already gone is fine).
-    """
-    from repro.parallel.pool import shutdown_pool
-
-    server = ServiceServer(config)
-    try:
-        return asyncio.run(server.serve())
-    finally:
-        shutdown_pool()
+    """Blocking entry point: serve until drained, return the exit code."""
+    return asyncio.run(ServiceServer(config).serve())

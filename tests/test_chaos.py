@@ -402,52 +402,6 @@ class TestWorkerWatchdog:
         finally:
             pool.shutdown(timeout=1.0)
 
-    def test_evaluator_wave_deadline_survives_stopped_worker(self):
-        from repro.core.online_sim import OnlineSimulator
-        from repro.parallel import ParallelPortfolioEvaluator
-        from repro.parallel.pool import shutdown_pool
-        from repro.policies.combined import build_portfolio
-        from repro.cloud.profile import CloudProfile
-        from repro.workload.job import Job
-
-        queue = [Job(job_id=i, submit_time=0.0, runtime=60.0 * (i + 1),
-                     procs=1 + i % 3) for i in range(6)]
-        waits = [30.0 * (i + 1) for i in range(6)]
-        runtimes = [j.runtime for j in queue]
-        profile = CloudProfile(now=0.0, vms=(), max_vms=32,
-                               boot_delay=120.0, billing_period=3_600.0)
-        wave = list(enumerate(build_portfolio()[:6]))
-
-        def run_wave(evaluator):
-            return evaluator.evaluate_wave(wave, queue, waits, runtimes,
-                                           profile)
-
-        try:
-            clean = run_wave(
-                ParallelPortfolioEvaluator(OnlineSimulator(), workers=2)
-            )
-            plan = FaultPlan(rules=(
-                FaultRule(site="pool.task", action="stop"),
-            ))
-            with chaos_active(plan) as injector:
-                chaotic = run_wave(ParallelPortfolioEvaluator(
-                    OnlineSimulator(), workers=2, wave_deadline=2.0
-                ))
-            assert injector.injected  # a worker really was frozen
-            strip = lambda recs: [(r.index, r.error, r.outcome)
-                                  for r in recs]
-            assert strip(chaotic) == strip(clean)
-        finally:
-            shutdown_pool()
-
-    def test_evaluator_validation(self):
-        from repro.core.online_sim import OnlineSimulator
-        from repro.parallel import ParallelPortfolioEvaluator
-
-        with pytest.raises(ValueError):
-            ParallelPortfolioEvaluator(OnlineSimulator(), workers=2,
-                                       wave_deadline=0.0)
-
     def test_campaign_validation(self):
         from repro.parallel import Campaign
         from tests.test_parallel import tiny_cells

@@ -13,7 +13,6 @@ Also covers the satellite fixes of the same PR:
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
 * rider outcomes of shared runs, and the selector's per-round memo;
-* slimmed parallel wave payloads;
 * quiet head-blocked stretches: skipped steps decide, count and
   truncate exactly as the reference loop's, and the skip fires.
 """
@@ -854,24 +853,6 @@ def test_fast_and_reference_kernels_agree_on_a_40_job_queue():
         queue, waits, runtimes, profile, build_portfolio()[0]
     )
     assert f == r
-
-
-# ---------------------------------------------------------------------------
-# parallel: packed wave payloads
-
-
-def test_packed_chunk_matches_unpacked_chunk():
-    from repro.parallel.evaluator import _evaluate_chunk, _evaluate_chunk_packed
-
-    _, queue, waits, runtimes, profile = synthetic_states()[0]
-    sim = OnlineSimulator()
-    items = list(enumerate(build_portfolio()[:6]))
-    payload = pickle.dumps((list(queue), list(waits), list(runtimes), profile))
-    packed = _evaluate_chunk_packed(sim, items, payload)
-    plain = _evaluate_chunk(sim, items, queue, waits, runtimes, profile)
-    assert [(r.index, r.outcome, r.error) for r in packed] == [
-        (r.index, r.outcome, r.error) for r in plain
-    ]
 
 
 def test_boundary_release_rule_uses_reference_loop():

@@ -1,12 +1,10 @@
 """Tests for the parallel execution subsystem (repro.parallel).
 
 The contract under test is *equivalence*: parallelism may change when
-cells and policy evaluations are computed, never what they compute.
+cells are computed, never what they compute.
 
 * a campaign fanned out over 4 workers is bit-identical to the serial
   run (and to a cache-hydrated re-run);
-* parallel portfolio selection picks the same policy as the serial
-  selector whenever every evaluation fits the budget;
 * a SIGKILLed worker is respawned, the lost cells retried, and the
   campaign still completes with identical output;
 * the content-addressed cell cache survives corruption and reacts to
@@ -18,9 +16,6 @@ import pickle
 
 import pytest
 
-from repro.cloud.profile import CloudProfile
-from repro.core.online_sim import OnlineSimulator
-from repro.core.selection import TimeConstrainedSelector
 from repro.experiments.cache import config_token
 from repro.experiments.configs import ExperimentScale
 from repro.experiments.engine import EngineConfig
@@ -30,12 +25,8 @@ from repro.parallel import (
     CampaignError,
     CellCache,
     CellSpec,
-    ParallelPortfolioEvaluator,
     comparison_cells,
 )
-from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
-from repro.workload.job import Job
 
 # A deliberately tiny grid: one trace, ~1/50th of the default horizon.
 TINY = ExperimentScale(compare_duration=1_728.0, sweep_duration=864.0, seed=42)
@@ -134,68 +125,6 @@ class TestWorkerDeath:
         assert calls["n"] == 2
 
 
-class TestParallelSelection:
-    @staticmethod
-    def _inputs():
-        queue = [
-            Job(job_id=i, submit_time=0.0, runtime=60.0 * (i + 1), procs=1 + i % 3)
-            for i in range(6)
-        ]
-        waits = [30.0 * (i + 1) for i in range(6)]
-        profile = CloudProfile(
-            now=0.0, vms=(), max_vms=32, boot_delay=120.0, billing_period=3_600.0
-        )
-        return queue, waits, [j.runtime for j in queue], profile
-
-    @staticmethod
-    def _selector(evaluator=None, delta=10.0):
-        import numpy as np
-
-        return TimeConstrainedSelector(
-            build_portfolio(),
-            simulator=OnlineSimulator(),
-            time_constraint=delta,
-            cost_clock=VirtualCostClock(0.010),
-            rng=np.random.default_rng(7),
-            evaluator=evaluator,
-        )
-
-    def test_matches_serial_when_budget_fits_everything(self):
-        # Δ = 10 s at 10 ms per policy: all 60 evaluations fit, so the
-        # parallel selector must pick the same policy with the same scores.
-        queue, waits, runtimes, profile = self._inputs()
-        serial = self._selector()
-        parallel = self._selector(
-            ParallelPortfolioEvaluator(OnlineSimulator(), workers=2)
-        )
-        for _ in range(3):
-            a = serial.select(queue, waits, runtimes, profile)
-            b = parallel.select(queue, waits, runtimes, profile)
-            assert a.best.name == b.best.name
-            assert a.spent == pytest.approx(b.spent)
-            scores_a = {ps.policy.name: ps.score for ps in a.simulated}
-            scores_b = {ps.policy.name: ps.score for ps in b.simulated}
-            assert scores_a == scores_b
-        assert {p.name for p in serial.smart} == {p.name for p in parallel.smart}
-
-    def test_deterministic_across_runs(self):
-        queue, waits, runtimes, profile = self._inputs()
-        picks = []
-        for _ in range(2):
-            sel = self._selector(
-                ParallelPortfolioEvaluator(OnlineSimulator(), workers=3)
-            )
-            picks.append(
-                [sel.select(queue, waits, runtimes, profile).best.name
-                 for _ in range(3)]
-            )
-        assert picks[0] == picks[1]
-
-    def test_evaluator_validation(self):
-        with pytest.raises(ValueError):
-            ParallelPortfolioEvaluator(OnlineSimulator(), workers=0)
-
-
 class TestCellCache:
     def test_roundtrip(self, tmp_path):
         cache = CellCache(tmp_path)
@@ -285,8 +214,8 @@ class TestConfigToken:
 
 class TestPoolTeardownRaces:
     """Satellite: reset()/shutdown() must be idempotent and safe when the
-    atexit hook, a service drain, and a watchdog all race to tear the
-    pool down — exactly one caller may join the executor."""
+    atexit hook, an explicit teardown, and a watchdog all race to tear
+    the pool down — exactly one caller may join the executor."""
 
     def test_shutdown_is_idempotent(self):
         from repro.parallel.pool import WorkerPool
