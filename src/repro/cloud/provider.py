@@ -279,16 +279,6 @@ class CloudProvider:
     def busy_vms(self) -> list[VM]:
         return [vm for vm in self._fleet.values() if vm.state is VMState.BUSY]
 
-    def available_count(self) -> int:
-        """VMs that are idle or will become usable without new leases
-        (idle + booting) — what provisioning policies count as supply."""
-        return sum(1 for vm in self._fleet.values() if vm.state in
-                   (VMState.IDLE, VMState.BOOTING))
-
-    def spot_count(self) -> int:
-        """Currently leased spot instances."""
-        return sum(1 for vm in self._fleet.values() if vm.spot)
-
     # -- billing helpers ------------------------------------------------------
 
     def remaining_paid(self, vm: VM, now: float) -> float:
@@ -298,13 +288,3 @@ class CloudProvider:
     def next_boundary(self, vm: VM, now: float) -> float:
         """Absolute time of *vm*'s next charging boundary."""
         return self.billing.next_boundary(vm.lease_time, now)
-
-    def accrued_cost(self, now: float) -> float:
-        """Total charged seconds so far: booked terminations plus the
-        hour-rounded charge the live fleet would incur if stopped at *now*."""
-        live = sum(
-            self.billing.charged_seconds(vm.lease_time, max(now, vm.lease_time))
-            * vm.price
-            for vm in self._fleet.values()
-        )
-        return self.charged_seconds_total + live

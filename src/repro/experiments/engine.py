@@ -504,36 +504,40 @@ class ClusterEngine:
             self._tick_event = sim.schedule_at(sim.now, EventKind.SCHEDULE_TICK)
 
     def _build_context(self, now: float) -> SchedContext:
+        """The context a round decides from.  ``busy_free_times`` stays
+        ``None``; :meth:`_on_tick` fills it for a policy that plans ahead."""
         waits = [now - job.submit_time for job in self.queue]
         runtimes = [max(self.predictor.predict(job), 1.0) for job in self.queue]
         rented = self.provider.leased_count()
-        busy_vms = self.provider.busy_vms()
-        # Estimated free times for planning policies (EASY backfilling):
-        # job start + *predicted* runtime — the scheduler never sees
-        # actual runtimes.
-        frees = []
-        for vm in busy_vms:
-            job = self._jobs_by_id.get(vm.job_id) if vm.job_id is not None else None
-            if job is not None and job.start_time >= 0:
-                frees.append(job.start_time + max(self.predictor.predict(job), 1.0))
-            else:  # pragma: no cover - defensive
-                frees.append(now)
+        busy = len(self.provider.busy_vms())
         return SchedContext(
             now=now,
             queue=self.queue,
             waits=waits,
             runtimes=runtimes,
             rented=rented,
-            available=rented - len(busy_vms),
-            busy=len(busy_vms),
+            available=rented - busy,
+            busy=busy,
             max_vms=self.provider.config.max_vms,
-            busy_free_times=frees,
             spot_price=(
                 self._spot_market.price_at(now)
                 if self._spot_market is not None
                 else None
             ),
         )
+
+    def _busy_free_times(self, now: float) -> list[float]:
+        """Estimated free time of each busy VM, in id order, for a policy
+        that plans ahead (EASY backfilling): its job's start plus the
+        *predicted* runtime — the scheduler never sees actual runtimes."""
+        frees = []
+        for vm in self.provider.busy_vms():
+            job = self._jobs_by_id.get(vm.job_id) if vm.job_id is not None else None
+            if job is not None and job.start_time >= 0:
+                frees.append(job.start_time + max(self.predictor.predict(job), 1.0))
+            else:  # pragma: no cover - defensive
+                frees.append(now)
+        return frees
 
     def _capture_profile(self, now: float) -> CloudProfile:
         """The fleet snapshot Algorithm 1 simulates from, with the spot
@@ -558,6 +562,8 @@ class ClusterEngine:
             self._tick_index, self.queue, ctx.waits, ctx.runtimes,
             functools.partial(self._capture_profile, now),
         )
+        if policy.plans_ahead:
+            ctx.busy_free_times = self._busy_free_times(now)
         self._last_policy = policy
         self._tick_index += 1
         if self.observer is not None:

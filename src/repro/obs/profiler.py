@@ -71,21 +71,6 @@ class Profiler:
         finally:
             self.add(name, time.perf_counter() - begin)
 
-    def merge(self, stats: dict[str, dict] | "Profiler") -> None:
-        """Fold another profiler's (or a snapshot dict's) stats in."""
-        items = stats.spans.items() if isinstance(stats, Profiler) else stats.items()
-        for name, other in items:
-            if isinstance(other, dict):
-                other = SpanStats(**other)
-            mine = self.spans.get(name)
-            if mine is None:
-                self.spans[name] = SpanStats(other.count, other.total, other.max)
-            else:
-                mine.count += other.count
-                mine.total += other.total
-                if other.max > mine.max:
-                    mine.max = other.max
-
     def snapshot(self) -> dict[str, dict]:
         """JSON-safe copy of all span stats."""
         return {name: s.to_dict() for name, s in sorted(self.spans.items())}

@@ -29,6 +29,8 @@ __all__ = ["BackfillingPolicy", "build_backfilling_portfolio"]
 class BackfillingPolicy(CombinedPolicy):
     """A portfolio policy with EASY backfilling in the allocation step."""
 
+    plans_ahead = True
+
     @property
     def name(self) -> str:
         return f"EASY:{super().name}"

@@ -52,8 +52,10 @@ class SchedContext:
     busy_free_times:
         Optional: per busy VM, the (estimated) time it frees — start time
         of its job plus the job's runtime estimate.  Only policies that
-        plan ahead (EASY backfilling) need it; plain portfolio policies
-        ignore it, and engines may pass ``None``.
+        plan ahead (EASY backfilling) read it.  The engine fills it only
+        for a policy whose ``plans_ahead`` is true and leaves it ``None``
+        otherwise; the service always passes ``None``, and the online
+        simulator the snapshot's actual busy-until times.
     spot_price:
         Current spot price as a fraction of the on-demand rate, or
         ``None`` when no spot market is configured (the paper's

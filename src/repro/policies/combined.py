@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.policies.base import (
     IdleVM,
@@ -46,6 +46,11 @@ class CombinedPolicy:
     provisioning: ProvisioningPolicy
     job_selection: JobSelectionPolicy
     vm_selection: VMSelectionPolicy
+
+    #: Whether :meth:`allocate` plans from ``SchedContext.busy_free_times``.
+    #: The engine estimates those free times only for a policy that says
+    #: so; none of the paper's members does.
+    plans_ahead: ClassVar[bool] = False
 
     @cached_property
     def name(self) -> str:

@@ -8,6 +8,7 @@ from repro.cloud.provider import ProviderConfig
 from repro.policies.backfilling import BackfillingPolicy, build_backfilling_portfolio
 from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import policy_by_name
+from repro.predict.knn import KnnPredictor
 from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.synthetic import DAS2_FS0, generate_trace
@@ -144,6 +145,36 @@ class TestEndToEnd:
         wait_plain = next(r for r in plain.records if r.job_id == 3).wait
         wait_easy = next(r for r in easy.records if r.job_id == 3).wait
         assert wait_easy < wait_plain
+
+    def test_engine_gives_busy_free_times_to_backfilling(self):
+        """Backfilling plans ahead, so every context it allocates with
+        holds each busy VM's estimated free time, in VM-id order: its
+        job's start plus the predicted runtime."""
+        recorded = []
+        engine = None
+
+        class Spy(BackfillingPolicy):
+            def allocate(self, ctx, idle, period=3_600.0):
+                jobs = {job.job_id: job for job in engine.jobs}
+                expected = [
+                    jobs[vm.job_id].start_time
+                    + max(engine.predictor.predict(jobs[vm.job_id]), 1.0)
+                    for vm in engine.provider.busy_vms()
+                ]
+                recorded.append((ctx.busy_free_times, expected))
+                return super().allocate(ctx, idle, period)
+
+        p = policy_by_name("ODA-FCFS-FirstFit")
+        engine = ClusterEngine(
+            generate_trace(DAS2_FS0, duration=4 * HOUR, seed=13),
+            FixedScheduler(Spy(p.provisioning, p.job_selection, p.vm_selection)),
+            KnnPredictor(),
+        )
+        assert engine.run().unfinished_jobs == 0
+        assert recorded
+        for frees, expected in recorded:
+            assert frees == expected
+        assert any(frees for frees, _ in recorded)
 
     def test_backfilling_portfolio_runs(self):
         jobs = generate_trace(DAS2_FS0, duration=4 * 3_600.0, seed=13)

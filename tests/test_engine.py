@@ -8,7 +8,7 @@ from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.policies.combined import build_portfolio, policy_by_name
 from repro.predict.knn import KnnPredictor
 from repro.sim.clock import VirtualCostClock
-from repro.workload.job import Job
+from repro.workload.job import Job, JobState
 from repro.workload.synthetic import DAS2_FS0, KTH_SP2, generate_trace
 
 HOUR = 3_600.0
@@ -143,6 +143,40 @@ class TestSchedulers:
         # after the run the predictor knows user 1's recent runtimes
         probe = Job(job_id=99, submit_time=0.0, runtime=1.0, procs=1, user=1)
         assert predictor.predict(probe) == pytest.approx(100.0)
+
+    def test_non_planning_policy_predicts_only_queued_jobs(self):
+        """A policy that does not plan ahead gets no busy-VM free times,
+        so each context costs one prediction per queued job and none
+        for the jobs running on busy VMs."""
+
+        class CountingPredictor(KnnPredictor):
+            def __init__(self) -> None:
+                super().__init__()
+                self.asked: list[JobState] = []
+
+            def predict(self, job: Job) -> float:
+                self.asked.append(job.state)
+                return super().predict(job)
+
+        predictor = CountingPredictor()
+        engine = ClusterEngine(
+            generate_trace(DAS2_FS0, duration=6 * HOUR, seed=9),
+            FixedScheduler(policy_by_name("ODA-FCFS-FirstFit")),
+            predictor,
+        )
+        queued: list[int] = []
+        build_context = engine._build_context
+
+        def counting_build_context(now: float):
+            queued.append(len(engine.queue))
+            return build_context(now)
+
+        engine._build_context = counting_build_context
+        result = engine.run()
+        assert result.unfinished_jobs == 0
+        assert sum(queued) > 0
+        assert len(predictor.asked) == sum(queued)
+        assert set(predictor.asked) == {JobState.QUEUED}
 
 
 class TestDeterminismAndConservation:

@@ -147,19 +147,6 @@ class TestProfiler:
         assert prof.spans["work"].count == 1
         assert prof.spans["work"].total >= 0.0
 
-    def test_merge_from_profiler_and_snapshot(self):
-        parent = Profiler()
-        parent.add("a", 1.0)
-        child = Profiler()
-        child.add("a", 2.0)
-        child.add("b", 5.0)
-        parent.merge(child)
-        parent.merge({"a": {"count": 1, "total": 0.5, "max": 0.5}})
-        assert parent.spans["a"].count == 3
-        assert parent.spans["a"].total == pytest.approx(3.5)
-        assert parent.spans["a"].max == 2.0
-        assert parent.spans["b"].total == 5.0
-
     def test_profiled_decorator_noop_without_profiler(self):
         class Thing:
             profiler = None
