@@ -261,6 +261,29 @@ class InvariantMonitor:
         self._check_fleet(engine, now)
         self._check_rv(engine, now)
         self._check_spot(engine, now)
+        self._check_fleet_index(engine, now)
+
+    def _check_fleet_index(self, engine: "ClusterEngine", now: float) -> None:
+        """Each per-state view the provider serves from its partitions
+        must list exactly the live VMs in that state, in id order.  The
+        expected side walks ``provider.vms()``, so the check does not run
+        through the bookkeeping it checks."""
+        provider = engine.provider
+        fleet = provider.vms()
+        for state, indexed in (
+            (VMState.BOOTING, provider.booting_vms()),
+            (VMState.IDLE, provider.idle_vms()),
+            (VMState.BUSY, provider.busy_vms()),
+        ):
+            walked = [vm for vm in fleet if vm.state is state]
+            if walked != indexed:
+                self._emit(
+                    "fleet-index-mismatch",
+                    now,
+                    f"the provider's {state.name} partition holds VMs "
+                    f"{[vm.vm_id for vm in indexed]} but the fleet walk "
+                    f"finds {[vm.vm_id for vm in walked]}",
+                )
 
     def _check_spot(self, engine: "ClusterEngine", now: float) -> None:
         """Preemption conservation: every reclaim the engine counted must

@@ -57,6 +57,16 @@ class CloudProvider:
 
     The provider owns VM objects for their whole life; schedulers interact
     through :meth:`lease`, :meth:`terminate` and the fleet queries.
+
+    A leased VM changes state only through the provider: its transitions
+    (:meth:`boot_complete`, :meth:`assign`, :meth:`release_job`) and its
+    terminations (:meth:`terminate`, :meth:`preempt`,
+    :meth:`finalize_reserved`).  That keeps the live fleet partitioned by
+    state: beside ``_fleet`` sit ``_booting``, ``_idle`` and ``_busy``,
+    one id→VM dict per state, which the idle, booting and busy views and
+    counts read instead of walking the fleet.  The partitions are derived
+    state: pickling leaves them out and unpickling rebuilds them from
+    ``_fleet``, so a snapshot holds what it always did.
     """
 
     def __init__(
@@ -68,6 +78,7 @@ class CloudProvider:
         self.billing = billing or HourlyBilling(self.config.billing_period)
         self._next_id = 0
         self._fleet: dict[int, VM] = {}
+        self._index_fleet()
         self.charged_seconds_total = 0.0
         self.leases_total = 0
         #: Price-weighted charged seconds booked against spot instances
@@ -80,6 +91,29 @@ class CloudProvider:
         #: layer's invariant monitor subscribes here to keep its
         #: independent charge ledger; ``None`` (default) adds no overhead.
         self.on_charge: Callable[[VM, float, float, str], None] | None = None
+
+    def _index_fleet(self) -> None:
+        """(Re)build the per-state partitions from ``_fleet``, in id order."""
+        self._booting: dict[int, VM] = {}
+        self._idle: dict[int, VM] = {}
+        self._busy: dict[int, VM] = {}
+        parts = {
+            VMState.BOOTING: self._booting,
+            VMState.IDLE: self._idle,
+            VMState.BUSY: self._busy,
+        }
+        for vm_id, vm in self._fleet.items():
+            parts[vm.state][vm_id] = vm
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("_booting", "_idle", "_busy"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index_fleet()
 
     # -- leasing ------------------------------------------------------------
 
@@ -123,6 +157,7 @@ class CloudProvider:
             )
             self._next_id += 1
             self._fleet[vm.vm_id] = vm
+            self._booting[vm.vm_id] = vm
             vms.append(vm)
         self.leases_total += granted
         return vms
@@ -139,12 +174,11 @@ class CloudProvider:
             raise ValueError(
                 f"vm {vm.vm_id} is reserved; use finalize_reserved at run end"
             )
-        vm.terminate(now)
+        self._retire(vm, now)
         charge = self.billing.charged_seconds(vm.lease_time, now) * vm.price
         self.charged_seconds_total += charge
         if vm.spot:
             self.spot_charged_seconds += charge
-        del self._fleet[vm.vm_id]
         if self.on_charge is not None:
             self.on_charge(vm, charge, now, "terminate")
         return charge
@@ -162,11 +196,10 @@ class CloudProvider:
             raise KeyError(f"vm {vm.vm_id} is not in this provider's fleet")
         if not vm.spot:
             raise ValueError(f"vm {vm.vm_id} is not a spot instance")
-        vm.terminate(now)
+        self._retire(vm, now)
         charge = self.billing.completed_seconds(vm.lease_time, now) * vm.price
         self.charged_seconds_total += charge
         self.spot_charged_seconds += charge
-        del self._fleet[vm.vm_id]
         if self.on_charge is not None:
             self.on_charge(vm, charge, now, "preempt")
         return charge
@@ -240,14 +273,40 @@ class CloudProvider:
         total = 0.0
         for vm in list(self._fleet.values()):
             if vm.reserved and vm.state is not VMState.BUSY:
-                vm.terminate(now)
+                self._retire(vm, now)
                 charge = (now - vm.lease_time) * discount
                 self.charged_seconds_total += charge
                 total += charge
-                del self._fleet[vm.vm_id]
                 if self.on_charge is not None:
                     self.on_charge(vm, charge, now, "reserved")
         return total
+
+    # -- state transitions ----------------------------------------------------
+    #
+    # Each runs the VM's own checked transition, then moves the VM's entry
+    # between partitions, so a rejected transition moves nothing.
+
+    def boot_complete(self, vm: VM, now: float) -> None:
+        """BOOTING → IDLE at *now*."""
+        vm.boot_complete(now)
+        self._idle[vm.vm_id] = self._booting.pop(vm.vm_id)
+
+    def assign(self, vm: VM, job_id: int, until: float) -> None:
+        """IDLE → BUSY running *job_id* until *until*."""
+        vm.assign(job_id, until)
+        self._busy[vm.vm_id] = self._idle.pop(vm.vm_id)
+
+    def release_job(self, vm: VM) -> None:
+        """BUSY → IDLE when its job completes or dies."""
+        vm.release_job()
+        self._idle[vm.vm_id] = self._busy.pop(vm.vm_id)
+
+    def _retire(self, vm: VM, now: float) -> None:
+        """Terminate a BOOTING or IDLE *vm* and drop it from the fleet."""
+        booting = vm.state is VMState.BOOTING
+        vm.terminate(now)
+        del self._fleet[vm.vm_id]
+        del (self._booting if booting else self._idle)[vm.vm_id]
 
     # -- fleet queries --------------------------------------------------------
 
@@ -265,19 +324,28 @@ class CloudProvider:
         ``_fleet`` keeps insertion order, and that is id order: only
         :meth:`lease` inserts, with ids from the monotone ``_next_id``
         counter.  Deleting an entry or pickling the dict (a durability
-        snapshot) never reorders the rest, so no view re-sorts.
+        snapshot) never reorders the rest, so this view does not re-sort.
         """
         return list(self._fleet.values())
 
     def idle_vms(self) -> list[VM]:
         """Usable idle VMs, in id order."""
-        return [vm for vm in self._fleet.values() if vm.state is VMState.IDLE]
+        return _in_id_order(self._idle)
 
     def booting_vms(self) -> list[VM]:
-        return [vm for vm in self._fleet.values() if vm.state is VMState.BOOTING]
+        return _in_id_order(self._booting)
 
     def busy_vms(self) -> list[VM]:
-        return [vm for vm in self._fleet.values() if vm.state is VMState.BUSY]
+        return _in_id_order(self._busy)
+
+    def idle_count(self) -> int:
+        return len(self._idle)
+
+    def booting_count(self) -> int:
+        return len(self._booting)
+
+    def busy_count(self) -> int:
+        return len(self._busy)
 
     # -- billing helpers ------------------------------------------------------
 
@@ -288,3 +356,9 @@ class CloudProvider:
     def next_boundary(self, vm: VM, now: float) -> float:
         """Absolute time of *vm*'s next charging boundary."""
         return self.billing.next_boundary(vm.lease_time, now)
+
+
+def _in_id_order(part: dict[int, VM]) -> list[VM]:
+    """A partition's VMs in id order.  A VM that re-enters the IDLE or
+    BUSY partition lands at the end of its dict, so a view sorts."""
+    return [part[vm_id] for vm_id in sorted(part)]

@@ -4,6 +4,12 @@ A VM is leased (BOOTING), becomes usable after the provisioning delay
 (IDLE), alternates IDLE/BUSY as jobs are assigned, and is eventually
 TERMINATED.  Jobs run exclusively: one VM serves at most one job's
 processor at a time (paper §5.1: homogeneous single-core instances).
+
+A VM leased from a :class:`~repro.cloud.provider.CloudProvider` changes
+state only through the provider, whose transition methods call the ones
+here and then move the VM between the provider's BOOTING, IDLE and BUSY
+partitions.  Calling these methods on a leased VM directly leaves those
+partitions stale; only a standalone VM drives its own lifecycle.
 """
 
 from __future__ import annotations

@@ -442,8 +442,8 @@ class ClusterEngine:
             "queue": len(self.queue),
             "queued_procs": ctx.total_queued_procs(),
             "fleet": self.provider.leased_count(),
-            "idle": len(self.provider.idle_vms()),
-            "booting": len(self.provider.booting_vms()),
+            "idle": self.provider.idle_count(),
+            "booting": self.provider.booting_count(),
             "busy": ctx.busy,
             "policy": policy.name,
         }
@@ -509,7 +509,7 @@ class ClusterEngine:
         waits = [now - job.submit_time for job in self.queue]
         runtimes = [max(self.predictor.predict(job), 1.0) for job in self.queue]
         rented = self.provider.leased_count()
-        busy = len(self.provider.busy_vms())
+        busy = self.provider.busy_count()
         return SchedContext(
             now=now,
             queue=self.queue,
@@ -575,8 +575,8 @@ class ClusterEngine:
                     queue_length=len(self.queue),
                     queued_procs=ctx.total_queued_procs(),
                     fleet=self.provider.leased_count(),
-                    idle=len(self.provider.idle_vms()),
-                    booting=len(self.provider.booting_vms()),
+                    idle=self.provider.idle_count(),
+                    booting=self.provider.booting_count(),
                     busy=ctx.busy,
                     active_policy=policy.name,
                 )
@@ -612,7 +612,7 @@ class ClusterEngine:
                 vms = [by_id[vid] for vid in alloc.vm_ids]
                 for vm in vms:
                     self._cancel_boundary(vm)
-                    vm.assign(job.job_id, finish)
+                    self.provider.assign(vm, job.job_id, finish)
                 self._vms_of_job[job.job_id] = vms
                 job.state = JobState.RUNNING
                 job.start_time = now
@@ -634,7 +634,7 @@ class ClusterEngine:
         vm: VM = event.payload
         if not vm.alive:
             return
-        vm.boot_complete(sim.now)
+        self.provider.boot_complete(vm, sim.now)
         if self.tracer is not None:
             self.tracer.emit(
                 trace_records.VM, sim.now, event="ready", vm=vm.vm_id,
@@ -744,7 +744,7 @@ class ClusterEngine:
         if pending_finish is not None:
             pending_finish.cancel()
         for peer in self._vms_of_job.pop(job.job_id, []):
-            peer.release_job()
+            self.provider.release_job(peer)
             if peer is not vm:
                 self._schedule_boundary(sim, peer)
         job.start_time = -1.0
@@ -1075,7 +1075,7 @@ class ClusterEngine:
         self.metrics.record_completion(job)
         self.predictor.observe_completion(job)
         for vm in self._vms_of_job.pop(job.job_id, []):
-            vm.release_job()
+            self.provider.release_job(vm)
             self._schedule_boundary(sim, vm)
         # Release workflow children whose last parent just finished.  Their
         # submit time becomes the eligibility instant so slowdown measures

@@ -460,6 +460,9 @@ ROUND_MUTATIONS = [
                  id="preempt-vs-settlements"),
     pytest.param(_reclaim_without_notice, IDLE_SPOT, "preemption-conservation",
                  "only 0 preemption notices", id="preempt-vs-notices"),
+    pytest.param(_vm1(VMState.BOOTING), {}, "fleet-index-mismatch",
+                 "BOOTING partition holds VMs [] but the fleet walk finds [1]",
+                 id="fleet-index"),
 ]
 
 

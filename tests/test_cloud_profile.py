@@ -24,9 +24,9 @@ class TestCapture:
     def test_capture_reflects_fleet_states(self):
         provider = CloudProvider(ProviderConfig(max_vms=10, boot_delay=120.0))
         idle_vm, busy_vm = provider.lease(2, now=0.0)
-        idle_vm.boot_complete(120.0)
-        busy_vm.boot_complete(120.0)
-        busy_vm.assign(job_id=7, until=900.0)
+        provider.boot_complete(idle_vm, 120.0)
+        provider.boot_complete(busy_vm, 120.0)
+        provider.assign(busy_vm, job_id=7, until=900.0)
         booting_vm = provider.lease(1, now=200.0)[0]
 
         profile = CloudProfile.capture(provider, now=250.0)

@@ -3,7 +3,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cloud.billing import HOUR
 from repro.cloud.provider import CloudProvider, ProviderConfig
@@ -130,7 +130,7 @@ class TestProvider:
     def test_terminate_books_charge(self):
         p = CloudProvider()
         (vm,) = p.lease(1, 0.0)
-        vm.boot_complete(120.0)
+        p.boot_complete(vm, 120.0)
         charge = p.terminate(vm, 30 * 60.0)
         assert charge == HOUR
         assert p.charged_seconds_total == HOUR
@@ -147,17 +147,17 @@ class TestProvider:
         vms = p.lease(3, 0.0)
         assert len(p.booting_vms()) == 3
         for vm in vms:
-            vm.boot_complete(120.0)
+            p.boot_complete(vm, 120.0)
         assert len(p.idle_vms()) == 3
-        vms[0].assign(1, 1_000.0)
+        p.assign(vms[0], 1, 1_000.0)
         assert len(p.busy_vms()) == 1
 
     def test_terminate_all_skips_busy(self):
         p = CloudProvider()
         vms = p.lease(2, 0.0)
         for vm in vms:
-            vm.boot_complete(120.0)
-        vms[0].assign(1, 10_000.0)
+            p.boot_complete(vm, 120.0)
+        p.assign(vms[0], 1, 10_000.0)
         p.terminate_all(200.0)
         assert p.leased_count() == 1
         assert p.charged_seconds_total == HOUR
@@ -178,10 +178,18 @@ VM_OPS = {
     "preempt": lambda vm: vm.spot and vm.state is not VMState.BUSY,
 }
 
+#: Per-VM operations the provider must reject, and the VMs each is tried on.
+REJECTED_OPS = {
+    "terminate-busy": lambda vm: not vm.reserved and vm.state is VMState.BUSY,
+    "assign-booting": lambda vm: vm.state is VMState.BOOTING,
+    "release-idle": lambda vm: vm.state is VMState.IDLE,
+}
+
 FLEET_OPS = st.lists(
     st.tuples(
         st.sampled_from([
-            "lease", *VM_OPS, "finalize_reserved", "settle_stragglers", "pickle",
+            "lease", *VM_OPS, *REJECTED_OPS, "finalize_reserved",
+            "settle_stragglers", "pickle",
         ]),
         st.integers(min_value=0, max_value=1_000),
         st.sampled_from(["on-demand", "reserved", "spot"]),
@@ -197,30 +205,69 @@ def sorted_ids(provider: CloudProvider, state: VMState | None) -> list[int]:
     return [vm.vm_id for vm in vms if state is None or vm.state is state]
 
 
+def views(provider: CloudProvider) -> dict:
+    """Every fleet view's ids and every count, by state (None: all)."""
+    return {
+        None: ([vm.vm_id for vm in provider.vms()], provider.leased_count()),
+        VMState.BOOTING: (
+            [vm.vm_id for vm in provider.booting_vms()], provider.booting_count()
+        ),
+        VMState.IDLE: (
+            [vm.vm_id for vm in provider.idle_vms()], provider.idle_count()
+        ),
+        VMState.BUSY: (
+            [vm.vm_id for vm in provider.busy_vms()], provider.busy_count()
+        ),
+    }
+
+
+def apply_vm_op(provider: CloudProvider, op: str, vm: VM, n: int, now: float) -> None:
+    if op == "boot":
+        provider.boot_complete(vm, now)
+    elif op in ("assign", "assign-booting"):
+        provider.assign(vm, n, now + 600.0)
+    elif op in ("release", "release-idle"):
+        provider.release_job(vm)
+    elif op in ("terminate", "terminate-busy"):
+        provider.terminate(vm, now)
+    else:
+        provider.preempt(vm, now)
+
+
 @settings(max_examples=300, deadline=None)
 @given(FLEET_OPS)
+@example([
+    # VM 0 re-enters the IDLE partition behind VMs 1 and 2, then the
+    # BUSY partition behind VM 1.
+    (op, n, "on-demand") for op, n in [
+        ("lease", 2), ("boot", 0), ("boot", 0), ("boot", 0),
+        ("assign", 0), ("release", 0), ("assign", 1), ("assign", 0),
+        ("release", 0), ("assign", 0), ("pickle", 0),
+    ]
+])
 def test_fleet_views_walk_in_id_order(ops):
-    """The views read ``_fleet`` in insertion order; that must stay id
-    order whatever leases, settlements and snapshots come in between."""
+    """The partitions are a differential oracle's subject: after every
+    transition, rejected transition, settlement and snapshot, each view
+    equals a re-sorted walk of ``_fleet`` and each count its view's
+    length, even where a VM re-entered a partition at the end of its
+    dict.  A rejected transition moves nothing."""
     provider = CloudProvider(ProviderConfig(max_vms=12))
     now = 0.0
     for op, n, tier in ops:
         now += 150.0  # past every earlier lease's boot delay
-        if op in VM_OPS:
-            pool = [vm for vm in provider.vms() if VM_OPS[op](vm)]
+        if op in VM_OPS or op in REJECTED_OPS:
+            eligible = VM_OPS.get(op) or REJECTED_OPS[op]
+            pool = [vm for vm in provider.vms() if eligible(vm)]
             if not pool:
                 continue
             vm = pool[n % len(pool)]
-            if op == "boot":
-                vm.boot_complete(now)
-            elif op == "assign":
-                vm.assign(n, now + 600.0)
-            elif op == "release":
-                vm.release_job()
-            elif op == "terminate":
-                provider.terminate(vm, now)
+            if op in REJECTED_OPS:
+                before = views(provider)
+                with pytest.raises(RuntimeError):
+                    apply_vm_op(provider, op, vm, n, now)
+                assert views(provider) == before
             else:
-                provider.preempt(vm, now)
+                apply_vm_op(provider, op, vm, n, now)
         elif op == "lease":
             spot = tier == "spot"
             provider.lease(n % 4 + 1, now, reserved=tier == "reserved",
@@ -231,13 +278,39 @@ def test_fleet_views_walk_in_id_order(ops):
             provider.settle_stragglers(now)
         else:
             provider = pickle.loads(pickle.dumps(provider))
-        views = {
-            None: provider.vms(),
-            VMState.IDLE: provider.idle_vms(),
-            VMState.BOOTING: provider.booting_vms(),
-            VMState.BUSY: provider.busy_vms(),
-        }
-        for state, view in views.items():
-            ids = [vm.vm_id for vm in view]
-            assert all(a < b for a, b in zip(ids, ids[1:]))
+        for state, (ids, count) in views(provider).items():
             assert ids == sorted_ids(provider, state)
+            assert count == len(ids)
+
+
+#: ``CloudProvider``'s pickled attributes: what snapshots have always held.
+PICKLED_ATTRIBUTES = {
+    "config", "billing", "_next_id", "_fleet", "charged_seconds_total",
+    "leases_total", "spot_charged_seconds", "on_charge",
+}
+
+
+def test_pickle_leaves_the_partitions_out_and_rebuilds_them():
+    """A provider pickles the attributes it always did, so snapshots
+    written before the partitions existed restore too: unpickling
+    rebuilds the partitions from ``_fleet``."""
+    provider = CloudProvider(ProviderConfig(max_vms=8))
+    vms = provider.lease(5, 0.0)
+    for vm in vms[:4]:
+        provider.boot_complete(vm, 120.0)
+    provider.assign(vms[0], 1, 900.0)
+    provider.assign(vms[2], 2, 900.0)
+    provider.release_job(vms[0])  # re-enters IDLE behind VMs 1 and 3
+    provider.terminate(vms[3], 200.0)
+    state = provider.__getstate__()
+    assert set(state) == PICKLED_ATTRIBUTES
+    restored = CloudProvider.__new__(CloudProvider)
+    restored.__setstate__(dict(state))
+    for other in (restored, pickle.loads(pickle.dumps(provider))):
+        assert views(other) == views(provider)
+    assert views(provider) == {
+        None: ([0, 1, 2, 4], 4),
+        VMState.BOOTING: ([4], 1),
+        VMState.IDLE: ([0, 1], 2),
+        VMState.BUSY: ([2], 1),
+    }

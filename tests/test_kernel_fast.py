@@ -563,7 +563,7 @@ def test_fast_kernel_under_strict_audit_end_to_end():
 
 def test_available_counts_booting_vms_like_the_engine():
     """Sim-side ``available = len(active) - busy`` equals the engine's
-    ``rented - len(busy_vms())`` — both deliberately count booting VMs as
+    ``rented - busy_count()`` — both deliberately count booting VMs as
     supply — while the *release* side excludes booting VMs in both."""
     now = 500.0
     jobs = jobs_of(4, procs=2, runtime=300.0)
@@ -575,11 +575,11 @@ def test_available_counts_booting_vms_like_the_engine():
     # 3 ready+idle, 2 busy, 3 still booting at ``now``.
     ready = provider.lease(5, now - 400.0)
     for v in ready:
-        v.boot_complete(now - 100.0)
+        provider.boot_complete(v, now - 100.0)
     engine.queue = list(engine.jobs)
     for v, job in zip(ready[:2], engine.jobs[:2]):
         job.start_time = now - 50.0
-        v.assign(job.job_id, until=now + 400.0)
+        provider.assign(v, job.job_id, until=now + 400.0)
     booting = provider.lease(3, now - 30.0)
     assert all(v.ready_time > now for v in booting)
 

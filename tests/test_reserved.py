@@ -22,7 +22,7 @@ class TestProviderReserved:
     def test_reserved_cannot_be_terminated_normally(self):
         p = CloudProvider()
         (vm,) = p.lease(1, 0.0, reserved=True)
-        vm.boot_complete(120.0)
+        p.boot_complete(vm, 120.0)
         with pytest.raises(ValueError, match="reserved"):
             p.terminate(vm, 500.0)
 
@@ -31,7 +31,7 @@ class TestProviderReserved:
         p.lease(2, 0.0, reserved=True)
         p.lease(2, 0.0)
         for vm in p.vms():
-            vm.boot_complete(120.0)
+            p.boot_complete(vm, 120.0)
         p.terminate_all(500.0)
         assert p.leased_count() == 2
         assert all(vm.reserved for vm in p.vms())
@@ -40,7 +40,7 @@ class TestProviderReserved:
         p = CloudProvider()
         vms = p.lease(2, 0.0, reserved=True)
         for vm in vms:
-            vm.boot_complete(120.0)
+            p.boot_complete(vm, 120.0)
         charged = p.finalize_reserved(10 * HOUR, discount=0.4)
         # 2 VMs x 10 h x 0.4 — no hour rounding for commitments
         assert charged == pytest.approx(2 * 10 * HOUR * 0.4)

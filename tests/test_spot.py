@@ -314,7 +314,7 @@ class TestProviderSpot:
     def test_terminate_charges_ceil_times_price(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         charge = provider.terminate(vm, 1.5 * HOUR)
         assert charge == pytest.approx(2 * HOUR * 0.5)  # hour-rounded up
         assert provider.spot_charged_seconds == pytest.approx(charge)
@@ -322,7 +322,7 @@ class TestProviderSpot:
     def test_preempt_charges_completed_periods_only(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         charge = provider.preempt(vm, 2.5 * HOUR)
         assert charge == pytest.approx(2 * HOUR * 0.5)  # floor: cut period free
         assert vm.state is VMState.TERMINATED
@@ -330,20 +330,20 @@ class TestProviderSpot:
     def test_preempt_inside_first_period_is_free(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         assert provider.preempt(vm, 0.5 * HOUR) == 0.0
 
     def test_preempt_non_spot_rejected(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         with pytest.raises(ValueError):
             provider.preempt(vm, HOUR)
 
     def test_preempt_unknown_vm_rejected(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         provider.preempt(vm, HOUR)
         with pytest.raises(KeyError):
             provider.preempt(vm, 2 * HOUR)
@@ -352,16 +352,16 @@ class TestProviderSpot:
         """The engine must release the job before the provider reclaims."""
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
-        vm.assign(job_id=1, until=HOUR)
+        provider.boot_complete(vm, 120.0)
+        provider.assign(vm, job_id=1, until=HOUR)
         with pytest.raises(RuntimeError):
             provider.preempt(vm, 0.5 * HOUR)
 
     def test_straggler_settlement_prices_spot(self):
         provider = self.provider()
         (vm,) = provider.lease(1, 0.0, spot=True, price=0.5)
-        vm.boot_complete(120.0)
-        vm.assign(job_id=1, until=10 * HOUR)
+        provider.boot_complete(vm, 120.0)
+        provider.assign(vm, job_id=1, until=10 * HOUR)
         extra = provider.settle_stragglers(1.5 * HOUR)
         assert extra == pytest.approx(2 * HOUR * 0.5)
         assert provider.spot_charged_seconds == pytest.approx(extra)
@@ -379,14 +379,14 @@ class TestReservedDiscountConfig:
     def test_settlements_default_to_the_config_rate(self):
         provider = CloudProvider(ProviderConfig(reserved_discount=0.25))
         (vm,) = provider.lease(1, 0.0, reserved=True)
-        vm.boot_complete(120.0)
+        provider.boot_complete(vm, 120.0)
         assert provider.finalize_reserved(HOUR) == pytest.approx(HOUR * 0.25)
 
     def test_straggler_settlement_defaults_to_the_config_rate(self):
         provider = CloudProvider(ProviderConfig(reserved_discount=0.25))
         (vm,) = provider.lease(1, 0.0, reserved=True)
-        vm.boot_complete(120.0)
-        vm.assign(job_id=1, until=10 * HOUR)
+        provider.boot_complete(vm, 120.0)
+        provider.assign(vm, job_id=1, until=10 * HOUR)
         assert provider.settle_stragglers(HOUR) == pytest.approx(HOUR * 0.25)
 
     def test_engine_rebases_provider_config(self):
