@@ -7,6 +7,8 @@ booting, busy and idle instances plus a 48-job mixed queue — the shape
 way (an all-idle or empty fleet flatters the fast path less because the
 reference loop's per-step fleet scan is what dominates).
 
+The reference side runs through :class:`ReferenceSimulator`, which
+sends every evaluation to ``OnlineSimulator._evaluate_reference``.
 Equivalence is asserted before speed: every (policy, outcome) pair must
 be identical across kernels, so the ratio can never come from computing
 something different.  Results land in ``BENCH_kernel.json`` at the repo
@@ -39,6 +41,16 @@ HOST = {
     "python": platform.python_version(),
     "platform": platform.platform(),
 }
+
+
+class ReferenceSimulator(OnlineSimulator):
+    """Runs every evaluation through the reference loop."""
+
+    def evaluate_prepared(self, prep, policy, riders=(), shared=None):
+        return self._evaluate_reference(prep, policy)
+
+
+SIMULATORS = {"fast": OnlineSimulator, "reference": ReferenceSimulator}
 
 
 def fig7_snapshot():
@@ -87,7 +99,7 @@ def _throughput(kernel: str, rounds: int):
     pattern the selector uses."""
     queue, waits, runtimes, profile = fig7_snapshot()
     portfolio = build_portfolio()
-    sim = OnlineSimulator(kernel=kernel)
+    sim = SIMULATORS[kernel]()
     outcomes = []
     steps = 0
     begin = time.perf_counter()
@@ -159,9 +171,8 @@ def test_kernel_end_to_end_cell(benchmark):
     jobs = generate_trace(DAS2_FS0, duration=12 * HOUR, seed=13)
 
     def run_cell(kernel: str):
-        scheduler = PortfolioScheduler(
-            cost_clock=VirtualCostClock(0.010), seed=7, kernel=kernel
-        )
+        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        scheduler.selector.simulator = SIMULATORS[kernel](scheduler.utility)
         engine = ClusterEngine([j.fresh_copy() for j in jobs], scheduler)
         begin = time.perf_counter()
         result = engine.run()

@@ -24,13 +24,18 @@ class Violation:
         return {"kind": self.kind, "time": self.time, "message": self.message}
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(eq=False)
 class InvariantViolation(Exception):
     """Raised at audit level ``strict`` on the first detected breach.
 
     Carries the violation and a bounded ring buffer of the most recently
     dispatched events (oldest first) so the failure is debuggable without
     re-running: the breach is almost always caused by one of them.
+
+    Neither frozen nor slotted: ``contextlib`` assigns ``__traceback__``
+    to an exception leaving a ``@contextmanager`` block, and pickling (a
+    campaign worker's exception reaching the parent) restores fields
+    from the instance ``__dict__``.
     """
 
     violation: Violation

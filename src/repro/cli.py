@@ -307,19 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the audit summary and oracle tables "
                           "after the run")
 
-    kernel = p_run.add_argument_group(
-        "simulation kernel",
-        "online-simulator implementation used for Algorithm 1's policy "
-        "evaluations; 'fast' (default) shares a warm-start prefix per "
-        "round and runs slot/array-based policy arithmetic with "
-        "bit-identical scoring; 'reference' keeps the historical "
-        "per-step object scan as an escape hatch",
-    )
-    kernel.add_argument("--kernel", choices=("fast", "reference"),
-                        default="fast",
-                        help="online-simulator kernel (default: fast; "
-                        "'reference' is bit-identical and ~3x slower)")
-
     obs = p_run.add_argument_group(
         "observability",
         "structured run tracing and span profiling; with both off "
@@ -702,7 +689,6 @@ def _build_engine(args: argparse.Namespace):
                 seed=7,
                 quarantine_limit=args.quarantine_limit,
                 safe_policy=args.safe_policy,
-                kernel=getattr(args, "kernel", "fast"),
                 **portfolio_kwargs,
             )
         except KeyError as exc:

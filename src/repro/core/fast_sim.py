@@ -83,8 +83,6 @@ from repro.policies.spot_aware import SpotBidProvisioning
 from repro.policies.vm_selection import BestFit, FirstFit, WorstFit
 from repro.workload.job import BOUNDED_SLOWDOWN_BOUND, Job
 
-from repro.core.online_sim import _charged, _remaining_paid
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.online_sim import OnlineSimulator, SimOutcome
 
@@ -412,7 +410,6 @@ def fast_evaluate(
     pk, jk, vk, base_prov = plan
     tick = sim.tick
     max_steps = sim.max_steps
-    marginal = sim.rv_accounting == "marginal"
 
     t0 = prep.t0
     period = prep.period
@@ -647,9 +644,6 @@ def fast_evaluate(
                     ls = lease[s]
                     used_t = t - ls if t > ls else 0.0
                     charge = (ceil(used_t / period - 1e-9) or 1) * period
-                    if marginal and s < n_pre:
-                        booked = _charged(ls, t0, period)
-                        charge = max(0.0, charge - booked)
                     rv += charge
                     if s >= n_pre:
                         rv_new += charge
@@ -727,22 +721,19 @@ def fast_evaluate(
         ls = lease[s]
         used_t = end - ls if end > ls else 0.0
         charge = (ceil(used_t / period - 1e-9) or 1) * period
-        if marginal and s < n_pre:
-            booked = _charged(ls, t0, period)
-            charge = max(0.0, charge - booked)
         rv += charge
         if s >= n_pre:
             rv_new += charge
 
-    outcome = sim._score_fast(prep, policy.provisioning, start_times,
-                              t, rv, rv_new, steps, truncated)
+    outcome = sim._score(prep, policy.provisioning, start_times,
+                         t, rv, rv_new, steps, truncated)
     if crew:
         # A rider differs from the leader only in its provisioning
         # object, which scoring reads for the spot re-pricing alone.
         reprice = prep.profile.spot_price is not None
         for rider, rk, rp in crew:
             if (rk == pk or rk in kinds) and (rp == lead_pair or rp in pairs):
-                shared.append((rider, sim._score_fast(
+                shared.append((rider, sim._score(
                     prep, rider.provisioning, start_times, t, rv, rv_new,
                     steps, truncated,
                 ) if reprice else outcome))

@@ -6,16 +6,16 @@ future arrivals — until every queued job finishes, and scores the policy
 with the utility function.  It is the selection mapping S(·) of the
 abstract model, invoked up to 60 times per scheduling decision, so it is
 built for speed.  It has two kernels that share the billing helpers and
-the utility function but not the policy code:
+the scoring function but not the policy code:
 
-* the default fast kernel (:mod:`repro.core.fast_sim`) re-derives the
-  12 built-in provisioning / job-selection / VM-selection formulas over
+* the fast kernel (:mod:`repro.core.fast_sim`) re-derives the 12
+  built-in provisioning / job-selection / VM-selection formulas over
   arrays and never calls the policy methods;
 * the reference loop (:meth:`OnlineSimulator._evaluate_reference`) calls
   the same :meth:`CombinedPolicy.allocate` / ``new_vms`` as the real
   engine.  Only members outside the fast kernel's dispatch tables
-  (custom or backfilling policies), the boundary release rule, and
-  ``--kernel reference`` reach it.
+  (custom, subclassed or backfilling policies) and the boundary release
+  rule reach it.
 
 Tests hold the fast kernel to the reference loop
 (``tests/test_kernel_fast.py``, exact) and the simulator to the engine
@@ -33,12 +33,12 @@ the live fleet (classification, next-event search and release checks
 fused), with released VMs charged incrementally and dropped from the
 scan.
 
-Cost accounting is **marginal**: pre-existing VMs are charged only for
-what the simulated horizon adds beyond their already-booked hours, VMs
-leased in-sim are charged in full.  That makes the score reflect the cost
-*caused by this decision*, which is what selection should optimise.
-Runtimes are the scheduler's estimates throughout — the online simulator
-cannot know actual runtimes (paper §6.3 measures the consequences).
+RV is the paper's **total** hour-rounded charge of every rented VM:
+each VM of the snapshot and each VM leased in-sim is charged from its
+lease time to its release (or, if still held when the queue drains, to
+its last use).  Runtimes are the scheduler's estimates throughout — the
+online simulator cannot know actual runtimes (paper §6.3 measures the
+consequences).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cloud.profile import CloudProfile
+from repro.core.fast_sim import KernelPrep, fast_evaluate
 from repro.core.utility import UtilityFunction
 from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import CombinedPolicy
@@ -127,54 +128,30 @@ class OnlineSimulator:
     max_steps:
         Safety valve: a simulation exceeding this many decision points is
         truncated (score 0), never looped forever.
-    kernel:
-        "fast" (default) routes eligible (policy, release-rule) pairs
-        through the array-based kernel in :mod:`repro.core.fast_sim`,
-        which produces bit-identical outcomes; "reference" forces the
-        original object-based loop for every evaluation (escape hatch /
-        differential-testing baseline).
+    release_rule:
+        The engine's idle-VM release rule (see ``EngineConfig``).
     """
-
-    #: Class-level default so schedulers pickled before the attribute
-    #: existed (durability snapshots) resume on the current default.
-    kernel = "fast"
 
     def __init__(
         self,
         utility: UtilityFunction | None = None,
         tick: float = 20.0,
         max_steps: int = 100_000,
-        rv_accounting: str = "total",
         release_rule: str = "eager",
-        kernel: str = "fast",
     ) -> None:
         if tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")
         if max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        if rv_accounting not in ("total", "marginal"):
-            raise ValueError(
-                f"rv_accounting must be 'total' or 'marginal', got {rv_accounting!r}"
-            )
         if release_rule not in ("eager", "boundary"):
             raise ValueError(
                 f"release_rule must be 'eager' or 'boundary', got {release_rule!r}"
             )
-        if kernel not in ("fast", "reference"):
-            raise ValueError(
-                f"kernel must be 'fast' or 'reference', got {kernel!r}"
-            )
         self.utility = utility or UtilityFunction()
         self.tick = float(tick)
         self.max_steps = max_steps
-        #: "total" charges every rented VM from its lease time (the paper's
-        #: RV definition); "marginal" nets out the hours pre-existing VMs
-        #: had already booked before the snapshot (decision-cost view,
-        #: available for ablations).
-        self.rv_accounting = rv_accounting
         #: Must match the engine's idle-VM release rule (see EngineConfig).
         self.release_rule = release_rule
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
 
@@ -184,7 +161,7 @@ class OnlineSimulator:
         waits: Sequence[float],
         runtimes: Sequence[float],
         profile: CloudProfile,
-    ):
+    ) -> KernelPrep:
         """Build the warm-start prefix for one selection round.
 
         Everything derivable from the (queue, profile) snapshot alone —
@@ -195,38 +172,33 @@ class OnlineSimulator:
         """
         if not (len(queue) == len(waits) == len(runtimes)):
             raise ValueError("queue, waits and runtimes must be parallel")
-        from repro.core.fast_sim import KernelPrep
-
         return KernelPrep(queue, waits, runtimes, profile)
 
     def evaluate_prepared(
         self,
-        prep,
+        prep: KernelPrep,
         policy: CombinedPolicy,
         riders: Sequence[CombinedPolicy] = (),
         shared: list | None = None,
     ) -> SimOutcome:
         """Evaluate *policy* against a prefix built by :meth:`prepare`.
 
-        Takes the fast path when the kernel allows it and the policy is
-        built from the known concrete classes; otherwise falls back to
-        the reference loop on the original snapshot (same results).
+        Takes the fast kernel under the eager release rule when *policy*
+        has a fast plan (:attr:`CombinedPolicy.kernel_plan`: built from
+        the known concrete classes); otherwise runs the reference loop
+        (same results).
 
         *riders* are other members the caller would score on the same
-        prefix.  When the fast path runs, each rider that decides like
+        prefix.  When the fast kernel runs, each rider that decides like
         *policy* at every step shares its trajectory and is appended to
         *shared* as ``(rider, outcome)``, the outcome its own evaluation
         would return.  The reference loop answers no riders.
         """
-        if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
-            from repro.core.fast_sim import fast_evaluate, fast_plan
-
-            plan = fast_plan(policy)
+        if self.release_rule == "eager":
+            plan = policy.kernel_plan
             if plan is not None:
                 return fast_evaluate(self, prep, policy, plan, riders, shared)
-        return self._evaluate_reference(
-            prep.queue, prep.waits, prep.runtimes, prep.profile, policy
-        )
+        return self._evaluate_reference(prep, policy)
 
     def evaluate(
         self,
@@ -240,36 +212,27 @@ class OnlineSimulator:
 
         ``queue``/``waits``/``runtimes`` are parallel: the queued jobs,
         their already-accrued wait at snapshot time, and the runtime
-        estimates the scheduler plans with.  One-shot entry point: builds
-        a throwaway prefix when the fast kernel applies; callers scoring
-        many policies on one snapshot should :meth:`prepare` once and use
-        :meth:`evaluate_prepared`.
+        estimates the scheduler plans with.  One-shot entry point:
+        callers scoring many policies on one snapshot should
+        :meth:`prepare` once and use :meth:`evaluate_prepared`.
         """
-        if not (len(queue) == len(waits) == len(runtimes)):
-            raise ValueError("queue, waits and runtimes must be parallel")
-        if getattr(self, "kernel", "fast") == "fast" and self.release_rule == "eager":
-            from repro.core.fast_sim import KernelPrep, fast_evaluate, fast_plan
-
-            plan = fast_plan(policy)
-            if plan is not None:
-                prep = KernelPrep(queue, waits, runtimes, profile)
-                return fast_evaluate(self, prep, policy, plan)
-        return self._evaluate_reference(queue, waits, runtimes, profile, policy)
+        return self.evaluate_prepared(
+            self.prepare(queue, waits, runtimes, profile), policy
+        )
 
     def _evaluate_reference(
-        self,
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
-        policy: CombinedPolicy,
+        self, prep: KernelPrep, policy: CombinedPolicy
     ) -> SimOutcome:
-        """The original object-based simulation loop (`--kernel reference`).
+        """The object-based simulation loop on *prep*'s snapshot.
 
         The fast kernel mirrors this loop decision-for-decision; keep the
         two in lockstep (the differential soak in tests/test_kernel_fast.py
-        and the CI kernel-smoke export diff enforce it).
+        and the CI kernel-smoke export diffs enforce it).
         """
+        queue = prep.queue
+        waits = prep.waits
+        runtimes = prep.runtimes
+        profile = prep.profile
         t0 = profile.now
         period = profile.billing_period
         boot = profile.boot_delay
@@ -290,7 +253,7 @@ class OnlineSimulator:
             )
             for snap in profile.vms
         ]
-        rv = 0.0  # marginal charges of VMs released in-sim
+        rv = 0.0  # charges of VMs released in-sim
         # Charges attributable to VMs *leased in-sim* (subset of ``rv``,
         # accumulated in parallel so the summation order of ``rv`` itself
         # never changes).  With a spot snapshot these VM hours are re-priced
@@ -299,7 +262,7 @@ class OnlineSimulator:
 
         pending: list[int] = list(range(len(queue)))
         start_times: dict[int, float] = {}
-        procs_of = [job.procs for job in queue]
+        procs_of = prep.procs
 
         t = t0
         steps = 0
@@ -363,7 +326,7 @@ class OnlineSimulator:
                     into = (t - vm.lease_time) % period
                     at_boundary = into < _EPS and t > vm.lease_time + _EPS
                     if at_boundary and not provisioning.keep_idle_vm(ctx, 0.0):
-                        charge = self._vm_charge(vm, t0, t, period)
+                        charge = _charged(vm.lease_time, t, period)
                         rv += charge
                         if not vm.preexisting:
                             rv_new += charge
@@ -441,7 +404,7 @@ class OnlineSimulator:
                     )
                     gone_eager = set()
                     for vm in idle[:surplus]:
-                        charge = self._vm_charge(vm, t0, t, period)
+                        charge = _charged(vm.lease_time, t, period)
                         rv += charge
                         if not vm.preexisting:
                             rv_new += charge
@@ -482,94 +445,20 @@ class OnlineSimulator:
         # costs exactly the same hours, so this is the cost a non-wasteful
         # wind-down would book.
         for vm in active:
-            charge = self._vm_charge(vm, t0, vm.last_busy_end, period)
+            charge = _charged(vm.lease_time, vm.last_busy_end, period)
             rv += charge
             if not vm.preexisting:
                 rv_new += charge
 
-        return self._finalize(
-            queue, waits, runtimes, procs_of, provisioning, profile,
-            start_times, t, rv, rv_new, steps, truncated,
+        return self._score(
+            prep, provisioning, start_times, t, rv, rv_new, steps, truncated
         )
 
     # ------------------------------------------------------------------
 
-    def _finalize(
+    def _score(
         self,
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        procs_of: Sequence[int],
-        provisioning,
-        profile: CloudProfile,
-        start_times: dict[int, float],
-        t: float,
-        rv: float,
-        rv_new: float,
-        steps: int,
-        truncated: bool,
-    ) -> SimOutcome:
-        """Shared scoring epilogue of both kernels (VM charges already in
-        *rv*/*rv_new*): end time, RJ/BSD aggregation, spot re-pricing,
-        utility."""
-        t0 = profile.now
-        end_time = t0
-        for qidx, start in start_times.items():
-            finish = start + max(runtimes[qidx], 1.0)
-            if finish > end_time:
-                end_time = finish
-
-        n = len(queue)
-        # A job can lack a start time only on truncation; ``end_time``
-        # then reflects started jobs alone (t0 if none started), which
-        # would under-penalise an all-blocked truncation.  Penalise
-        # against the horizon actually simulated instead.  Values change
-        # only for truncated outcomes (whose score is pinned to 0.0
-        # regardless) — drained runs are bit-identical either way.
-        horizon = end_time if end_time > t else t
-        rj = 0.0
-        bsd_sum = 0.0
-        for qidx in range(n):
-            est = max(runtimes[qidx], 1.0)
-            rj += procs_of[qidx] * est
-            start = start_times.get(qidx)
-            if start is None:
-                # Truncated before this job started: penalise with the
-                # wait accrued up to truncation plus one full horizon.
-                total_wait = waits[qidx] + (t - t0) + (horizon - t0)
-            else:
-                total_wait = waits[qidx] + (start - t0)
-            denom = max(est, BOUNDED_SLOWDOWN_BOUND)
-            bsd_sum += max(1.0, (total_wait + denom) / denom)
-        bsd = bsd_sum / n if queue else 1.0
-
-        # Spot snapshot: re-price the VM hours this policy would lease at
-        # its spot mix (risk-adjusted), so cheap-but-risky members compete
-        # on effective cost.  With no spot market the branch is never taken
-        # and ``rv`` reaches the utility untouched — bit-identical scoring.
-        if profile.spot_price is not None:
-            factor = rv_spot_factor(
-                provisioning, profile.spot_price, profile.spot_price_effective
-            )
-            if factor != 1.0:
-                rv = (rv - rv_new) + rv_new * factor
-
-        score = self.utility(rj, rv, bsd)
-        if truncated:
-            score = 0.0  # a policy that cannot drain the queue loses
-        return SimOutcome(
-            score=score,
-            bsd=bsd,
-            rj_seconds=rj,
-            rv_seconds=rv,
-            steps=steps,
-            end_time=end_time,
-            truncated=truncated,
-        )
-
-    def _score_fast(
-        self,
-        prep,
+        prep: KernelPrep,
         provisioning,
         start_times: dict[int, float],
         t: float,
@@ -578,21 +467,14 @@ class OnlineSimulator:
         steps: int,
         truncated: bool,
     ) -> SimOutcome:
-        """Scoring entry point for the fast kernel.
+        """Scoring epilogue of both kernels (VM charges already in
+        *rv*/*rv_new*): end time, BSD aggregation, spot re-pricing,
+        utility.
 
-        Same epilogue as :meth:`_finalize`, but reusing the prefix's
-        per-job constants: ``est`` is ``max(runtime, 1.0)``, ``denom10``
-        is ``max(runtime, 10.0)`` (== ``max(est, 10.0)``), and ``rj`` is
-        policy-independent, so all three come straight from *prep* with
-        the identical float values the reference loop recomputes.
-        Truncated runs (rare, cold) defer to :meth:`_finalize`.
+        The per-job constants come from *prep*: ``est`` is
+        ``max(runtime, 1.0)``, ``denom10`` is ``max(runtime, 10.0)``
+        (== ``max(est, 10.0)``), and ``rj`` is policy-independent.
         """
-        if truncated:
-            return self._finalize(
-                prep.queue, prep.waits, prep.runtimes, prep.procs,
-                provisioning, prep.profile, start_times, t, rv, rv_new,
-                steps, truncated,
-            )
         t0 = prep.t0
         est = prep.est
         denom10 = prep.denom10
@@ -605,12 +487,33 @@ class OnlineSimulator:
 
         n = prep.n_jobs
         bsd_sum = 0.0
-        for qidx in range(n):
-            denom = denom10[qidx]
-            total_wait = waits0[qidx] + (start_times[qidx] - t0)
-            bsd_sum += max(1.0, (total_wait + denom) / denom)
+        if truncated:
+            # A job can lack a start time only on truncation; ``end_time``
+            # then reflects started jobs alone (t0 if none started), which
+            # would under-penalise an all-blocked truncation.  Penalise
+            # a never-started job with the wait accrued up to truncation
+            # plus one full horizon actually simulated.  The score is
+            # pinned to 0.0 regardless.
+            horizon = end_time if end_time > t else t
+            for qidx in range(n):
+                start = start_times.get(qidx)
+                if start is None:
+                    total_wait = waits0[qidx] + (t - t0) + (horizon - t0)
+                else:
+                    total_wait = waits0[qidx] + (start - t0)
+                denom = denom10[qidx]
+                bsd_sum += max(1.0, (total_wait + denom) / denom)
+        else:
+            for qidx in range(n):
+                denom = denom10[qidx]
+                total_wait = waits0[qidx] + (start_times[qidx] - t0)
+                bsd_sum += max(1.0, (total_wait + denom) / denom)
         bsd = bsd_sum / n if n else 1.0
 
+        # Spot snapshot: re-price the VM hours this policy would lease at
+        # its spot mix (risk-adjusted), so cheap-but-risky members compete
+        # on effective cost.  With no spot market the branch is never taken
+        # and ``rv`` reaches the utility untouched — bit-identical scoring.
         profile = prep.profile
         if profile.spot_price is not None:
             factor = rv_spot_factor(
@@ -619,27 +522,15 @@ class OnlineSimulator:
             if factor != 1.0:
                 rv = (rv - rv_new) + rv_new * factor
 
+        score = self.utility(prep.rj, rv, bsd)
+        if truncated:
+            score = 0.0  # a policy that cannot drain the queue loses
         return SimOutcome(
-            score=self.utility(prep.rj, rv, bsd),
+            score=score,
             bsd=bsd,
             rj_seconds=prep.rj,
             rv_seconds=rv,
             steps=steps,
             end_time=end_time,
-            truncated=False,
+            truncated=truncated,
         )
-
-    # ------------------------------------------------------------------
-
-    def _vm_charge(self, vm: _SimVM, t0: float, end: float, period: float) -> float:
-        """Hour-rounded charge of *vm* up to *end*.
-
-        In "total" mode (the paper's RV) the whole lease is charged; in
-        "marginal" mode the hours a pre-existing VM had already booked
-        before the snapshot are netted out.
-        """
-        full = _charged(vm.lease_time, max(end, vm.lease_time), period)
-        if self.rv_accounting == "marginal" and vm.preexisting:
-            booked = _charged(vm.lease_time, t0, period)
-            return max(0.0, full - booked)
-        return full

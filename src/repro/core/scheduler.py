@@ -112,10 +112,6 @@ class PortfolioScheduler(Scheduler):
         The fixed policy applied after failover — a policy object, a
         portfolio member's name, or ``None`` for the first portfolio
         member.
-    kernel:
-        Online-simulator kernel: ``"fast"`` (default, warm-start slot
-        arrays with bit-identical scoring) or ``"reference"`` (the
-        historical per-step object scan; escape hatch).
     """
 
     def __init__(
@@ -128,12 +124,10 @@ class PortfolioScheduler(Scheduler):
         cost_clock: CostClock | None = None,
         seed: int = 0,
         sim_tick: float = 20.0,
-        rv_accounting: str = "total",
         release_rule: str = "eager",
         reflection_weight: float = 0.0,
         quarantine_limit: int | None = None,
         safe_policy: CombinedPolicy | str | None = None,
-        kernel: str = "fast",
     ) -> None:
         if not 0.0 <= reflection_weight <= 1.0:
             raise ValueError(
@@ -148,11 +142,7 @@ class PortfolioScheduler(Scheduler):
         members = list(portfolio) if portfolio is not None else build_portfolio()
         self.utility = utility or UtilityFunction()
         self.simulator = OnlineSimulator(
-            self.utility,
-            tick=sim_tick,
-            rv_accounting=rv_accounting,
-            release_rule=release_rule,
-            kernel=kernel,
+            self.utility, tick=sim_tick, release_rule=release_rule
         )
         self.selector = TimeConstrainedSelector(
             members,

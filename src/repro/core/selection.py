@@ -154,8 +154,7 @@ class TimeConstrainedSelector:
         self._prep = None
         #: This round's shared outcomes, ``policy.name -> (policy,
         #: SimOutcome)``, for members a shared kernel run already
-        #: answered (see :meth:`_simulate`).  ``None`` between rounds and
-        #: whenever shared runs are off (see :meth:`_begin_round`).
+        #: answered (see :meth:`_simulate`).  ``None`` between rounds.
         self._memo: dict[str, tuple[CombinedPolicy, SimOutcome]] | None = None
         #: Evaluations answered by another member's shared run.
         self.memo_hits = 0
@@ -183,96 +182,62 @@ class TimeConstrainedSelector:
 
         The prefix (:meth:`OnlineSimulator.prepare`) is built once and
         shared by every evaluation this round; the memo starts empty, so
-        no outcome crosses rounds.  Both are gated on the fast kernel so
-        ``--kernel reference`` keeps the historical evaluation path
-        bit-for-bit.  Overrides are detected against the class attributes
-        at call time, so a wrapper installed on :class:`OnlineSimulator`
-        itself is not mistaken for one.
+        no outcome crosses rounds.
         """
-        simulator = self.simulator
-        self._memo = None
-        if (
-            getattr(simulator, "kernel", "reference") != "fast"
-            # A subclass overriding ``evaluate`` (stubs, instrumentation)
-            # must keep seeing one call per policy: the prepared path
-            # would silently bypass the override.
-            or type(simulator).evaluate is not OnlineSimulator.evaluate
-        ):
-            self._prep = None
-            return
-        # One overriding only ``evaluate_prepared`` may not take riders,
-        # and must not have calls swallowed by shared runs either.
-        if type(simulator).evaluate_prepared is OnlineSimulator.evaluate_prepared:
-            self._memo = {}
+        self._memo = {}
         profiler = self.profiler
         prep_begin = _time.perf_counter() if profiler is not None else 0.0
-        self._prep = simulator.prepare(queue, waits, runtimes, profile)
+        self._prep = self.simulator.prepare(queue, waits, runtimes, profile)
         if profiler is not None:
             profiler.add("selector.prepare", _time.perf_counter() - prep_begin)
 
-    def _simulate(
-        self,
-        policy: CombinedPolicy,
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
-    ) -> PolicyScore:
+    def _simulate(self, policy: CombinedPolicy) -> PolicyScore:
         """Evaluate one policy, quarantining it if the simulation raises.
 
         A raising policy must not abort the whole run (fail-safe portfolio
         evaluation): it is charged the wall time it burned, scored
         :data:`QUARANTINE_SCORE`, and demoted to Poor at set-rebuild time.
 
-        Timing brackets the ``evaluate`` call and nothing else — the
-        charged ``c_i`` must be the simulation's own cost, not the
+        Timing brackets the ``evaluate_prepared`` call and nothing else —
+        the charged ``c_i`` must be the simulation's own cost, not the
         selector's set-rebuild bookkeeping — and goes through
         :meth:`CostClock.stamp`, so virtual clocks never touch the real
         clock at all.
 
-        With shared runs on, a member an earlier run of this round
-        already answered is scored from the memo; on a miss, every member
-        still unscored this round rides along with *policy* (see
+        A member an earlier run of this round already answered is scored
+        from the memo; on a miss, every member still unscored this round
+        rides along with *policy* (see
         :meth:`OnlineSimulator.evaluate_prepared`), and the answered
         riders fill the memo.
         """
         memo = self._memo
-        if memo is not None:
-            rider, outcome = memo.get(policy.name, (None, None))
-            if rider is policy:
-                # Charged like a fresh evaluation under the paper's
-                # virtual clock (which ignores wall time), so shared runs
-                # never perturb the budget trajectory; free on a wall
-                # clock, where the leader paid for the shared run.
-                self.memo_hits += 1
-                self.consecutive_quarantines = 0
-                return PolicyScore(
-                    policy=policy,
-                    score=outcome.score,
-                    cost=self.cost_clock.measure(0.0, outcome.steps),
-                    outcome=outcome,
-                )
+        rider, outcome = memo.get(policy.name, (None, None))
+        if rider is policy:
+            # Charged like a fresh evaluation under the paper's virtual
+            # clock (which ignores wall time), so shared runs never
+            # perturb the budget trajectory; free on a wall clock, where
+            # the leader paid for the shared run.
+            self.memo_hits += 1
+            self.consecutive_quarantines = 0
+            return PolicyScore(
+                policy=policy,
+                score=outcome.score,
+                cost=self.cost_clock.measure(0.0, outcome.steps),
+                outcome=outcome,
+            )
+        # Every member still unscored this round rides along.
+        riders = [
+            p for p in (*self.smart, *self.stale, *self.poor)
+            if p.name not in memo
+        ]
+        shared: list = []
         profiler = self.profiler
         span_begin = _time.perf_counter() if profiler is not None else 0.0
         begin = self.cost_clock.stamp()
-        prep = self._prep
-        shared: list = []
         try:
-            if prep is None:
-                outcome = self.simulator.evaluate(
-                    queue, waits, runtimes, profile, policy
-                )
-            elif memo is None:
-                outcome = self.simulator.evaluate_prepared(prep, policy)
-            else:
-                # Every member still unscored this round rides along.
-                riders = [
-                    p for p in (*self.smart, *self.stale, *self.poor)
-                    if p.name not in memo
-                ]
-                outcome = self.simulator.evaluate_prepared(
-                    prep, policy, riders, shared
-                )
+            outcome = self.simulator.evaluate_prepared(
+                self._prep, policy, riders, shared
+            )
         except Exception:
             wall = self.cost_clock.stamp() - begin
             if profiler is not None:
@@ -315,9 +280,7 @@ class TimeConstrainedSelector:
         d1, d2, d3 = split_budget(
             delta, len(self.smart), len(self.stale), len(self.poor)
         )
-        simulated, spent = self._phases(
-            d1, d2, d3, queue, waits, runtimes, profile
-        )
+        simulated, spent = self._phases(d1, d2, d3)
         # Stable sort on score alone: preserves simulation order among ties.
         simulated.sort(key=lambda ps: -ps.score)
 
@@ -345,21 +308,14 @@ class TimeConstrainedSelector:
         )
 
     def _phases(
-        self,
-        d1: float,
-        d2: float,
-        d3: float,
-        queue: Sequence[Job],
-        waits: Sequence[float],
-        runtimes: Sequence[float],
-        profile: CloudProfile,
+        self, d1: float, d2: float, d3: float
     ) -> tuple[list[PolicyScore], float]:
         """Phases 2a-2c, one policy at a time (the paper's loop)."""
         simulated: list[PolicyScore] = []
         spent = 0.0
 
         def run(policy: CombinedPolicy) -> float:
-            ps = self._simulate(policy, queue, waits, runtimes, profile)
+            ps = self._simulate(policy)
             simulated.append(ps)
             return ps.cost
 

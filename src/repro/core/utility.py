@@ -18,10 +18,10 @@ __all__ = ["UtilityFunction"]
 class UtilityFunction:
     """Scores an outcome from (RJ, RV, average bounded slowdown).
 
-    The utilization term RJ/RV is clamped to [0, 1]: marginal-cost
-    accounting in the online simulator can make RV smaller than RJ (jobs
-    riding already-paid VM hours are free), and unbounded free-riding
-    scores would otherwise dominate selection.
+    The utilization term RJ/RV is clamped to [0, 1]: discounted charges
+    (reserved VMs in the engine, the online simulator's spot re-pricing)
+    can make RV smaller than RJ, and unbounded cheap-capacity scores
+    would otherwise dominate selection.
     """
 
     kappa: float = 100.0

@@ -14,10 +14,9 @@ under a :class:`~repro.core.scheduler.Scheduler`:
 
 Each tick the engine calls the active policy's ``CombinedPolicy.new_vms``
 and ``allocate``.  The online simulator shares that code only in its
-reference loop (custom or backfilling members, the boundary release
-rule, ``--kernel reference``); the default fast kernel
-(:mod:`repro.core.fast_sim`) re-derives the 12 built-in component
-formulas over arrays.  Tests hold the three equal: the differential soak
+reference loop (custom, subclassed or backfilling members, the boundary
+release rule); its fast kernel (:mod:`repro.core.fast_sim`) re-derives
+the 12 built-in component formulas over arrays.  Tests hold the three equal: the differential soak
 in ``tests/test_kernel_fast.py`` (fast ≡ reference, exact),
 ``tests/test_online_engine_consistency.py`` (engine ≈ simulator on a
 closed burst, for every portfolio member), and the CI ``kernel-smoke``
@@ -193,11 +192,6 @@ class ExperimentResult:
     spot: "SpotStats | None" = None
 
     @property
-    def failed_jobs(self) -> int:
-        """Jobs that exhausted their retry budget (terminal FAILED)."""
-        return self.resilience.jobs_failed
-
-    @property
     def utility(self) -> float:
         """Utility with the paper's default κ=100, α=β=1 (figure axes)."""
         from repro.core.utility import UtilityFunction
@@ -246,6 +240,11 @@ class ClusterEngine:
 
         max_vms = self.config.provider.max_vms
         for job in jobs:
+            if job.procs < 1:
+                raise ValueError(
+                    f"job {job.job_id} needs {job.procs} VMs: every job "
+                    "must run on at least one"
+                )
             if job.procs > max_vms:
                 raise ValueError(
                     f"job {job.job_id} needs {job.procs} VMs but the provider "

@@ -98,10 +98,6 @@ class FaultModel:
             )
 
     @property
-    def any_lease_faults(self) -> bool:
-        return self.lease_fault_rate > 0 or self.partial_grant_rate > 0
-
-    @property
     def outages_enabled(self) -> bool:
         return self.outage_mtbo_seconds is not None
 

@@ -111,10 +111,6 @@ class TraceSpec:
             / self.system_procs
         )
 
-    def with_duration_jobs(self, duration: float) -> float:
-        """Expected number of jobs generated over *duration* seconds."""
-        return self.mean_rate() * duration
-
     def scaled(self, rate_factor: float) -> "TraceSpec":
         """A copy with the arrival intensity scaled by *rate_factor*.
 

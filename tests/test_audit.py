@@ -13,6 +13,7 @@ Three tiers:
 """
 
 import json
+import pickle
 import signal
 
 import pytest
@@ -24,6 +25,7 @@ from repro.audit import (
     InvariantMonitor,
     InvariantViolation,
     RunLedger,
+    Violation,
     default_audit_config,
     set_default_audit,
 )
@@ -37,6 +39,7 @@ from repro.durability import DurableRunner, RunInterrupted, SnapshotConfig
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.experiments.export import result_to_dict
 from repro.metrics.collector import JobRecord
+from repro.obs.profiler import Profiler
 from repro.policies.combined import policy_by_name
 from repro.resilience import CheckpointPolicy, FaultModel, RetryPolicy
 from repro.sim.clock import VirtualCostClock
@@ -90,6 +93,34 @@ class TestConfig:
         finally:
             set_default_audit(previous)
         assert default_audit_config() is previous
+
+
+class TestViolationException:
+    """A strict-audit violation surfaces as itself wherever it travels."""
+
+    def violation(self):
+        return Violation("event-time-regression", 40.0, "clock went back")
+
+    def test_raises_through_a_contextmanager_block(self):
+        # contextlib sets ``__traceback__`` on the way out of the block.
+        profiler = Profiler()
+        with pytest.raises(InvariantViolation) as exc_info:
+            with profiler.span("round"):
+                raise InvariantViolation(self.violation(), ("e1",))
+        assert exc_info.value.violation == self.violation()
+        assert profiler.spans["round"].count == 1
+
+    @pytest.mark.parametrize("keyword", [False, True])
+    def test_pickle_round_trip_keeps_fields(self, keyword):
+        # Campaign workers send exceptions to the parent by pickling them.
+        events = ("t=1.000 GENERIC", "t=2.000 GENERIC")
+        exc = (InvariantViolation(self.violation(), recent_events=events)
+               if keyword else InvariantViolation(self.violation(), events))
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is InvariantViolation
+        assert clone.violation == exc.violation
+        assert clone.recent_events == events
+        assert str(clone) == str(exc)
 
 
 class TestMonitorUnits:

@@ -155,7 +155,7 @@ def _unknown_flags(args: list[str]) -> list[str]:
 
 def test_cli_command_collector():
     text = (
-        "Run `repro run --model X\n--kernel fast` or `repro trace-report F`.\n"
+        "Run `repro run --model X\n--seed 7` or `repro trace-report F`.\n"
         "```bash\n"
         "python -m repro service run --socket s \\\n"
         "    --journal-dir j   # --not-a-flag\n"
@@ -164,7 +164,7 @@ def test_cli_command_collector():
     )
     assert list(_cli_commands(text)) == [
         ["service", "run", "--socket", "s", "--journal-dir", "j"],
-        ["run", "--model", "X", "--kernel", "fast"],
+        ["run", "--model", "X", "--seed", "7"],
         ["trace-report", "F"],
     ]
     assert _unknown_flags(["run", "--workers", "2"]) == ["--workers"]

@@ -100,6 +100,17 @@ class TestCapAndQueueing:
                 config=cfg,
             )
 
+    def test_zero_proc_job_rejected_up_front(self):
+        # Job itself admits procs == 0 (SWF parsing quarantines such
+        # jobs later); the engine must not simulate one.
+        for scheduler in (FixedScheduler(policy_by_name("ODA-UNICEF-FirstFit")),
+                          PortfolioScheduler(cost_clock=VirtualCostClock(0.01))):
+            with pytest.raises(ValueError, match="job 2 needs 0 VMs"):
+                ClusterEngine(
+                    jobs_from([(1, 0.0, 60.0, 1), (2, 10.0, 60.0, 0)]),
+                    scheduler,
+                )
+
     def test_no_backfilling_holds_in_engine(self):
         """FCFS head job needing more VMs than the cap leaves later small
         jobs waiting behind it until it completes."""

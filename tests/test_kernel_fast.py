@@ -15,6 +15,9 @@ Also covers the satellite fixes of the same PR:
 * rider outcomes of shared runs, and the selector's per-round memo;
 * quiet head-blocked stretches: skipped steps decide, count and
   truncate exactly as the reference loop's, and the skip fires.
+
+:class:`ReferenceSimulator` forces the reference loop for every
+evaluation; it is the oracle the fast kernel is held to.
 """
 
 import math
@@ -41,6 +44,13 @@ from repro.workload.synthetic import DAS2_FS0, generate_trace
 
 HOUR = 3_600.0
 EPS = 1e-6
+
+
+class ReferenceSimulator(OnlineSimulator):
+    """Runs every evaluation through the reference loop (no riders)."""
+
+    def evaluate_prepared(self, prep, policy, riders=(), shared=None):
+        return self._evaluate_reference(prep, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +337,10 @@ def truncation_state():
 # the differential soak (satellite: test coverage)
 
 
-@pytest.mark.parametrize("rv_accounting", ["total", "marginal"])
-def test_differential_soak_fast_vs_reference(rv_accounting):
+def test_differential_soak_fast_vs_reference():
     """Every (state, policy) pair scores bit-identically on both kernels."""
-    fast = OnlineSimulator(kernel="fast", rv_accounting=rv_accounting)
-    ref = OnlineSimulator(kernel="reference", rv_accounting=rv_accounting)
+    fast = OnlineSimulator()
+    ref = ReferenceSimulator()
     portfolio = build_portfolio() + odx3_members()
     spot_members = spot_portfolio_members()
     checked = 0
@@ -353,8 +362,8 @@ def test_differential_soak_fast_vs_reference(rv_accounting):
 
 def test_differential_soak_swf_workload():
     queue, waits, runtimes, profile = swf_state()
-    fast = OnlineSimulator(kernel="fast")
-    ref = OnlineSimulator(kernel="reference")
+    fast = OnlineSimulator()
+    ref = ReferenceSimulator()
     for policy in build_portfolio():
         assert fast.evaluate(queue, waits, runtimes, profile, policy) == ref.evaluate(
             queue, waits, runtimes, profile, policy
@@ -382,8 +391,7 @@ def truncation_cases():
 class TestTruncation:
     def test_max_steps_one_truncates_with_horizon_penalty(self):
         queue, waits, runtimes, profile = truncation_state()
-        for kernel in ("fast", "reference"):
-            sim = OnlineSimulator(kernel=kernel, max_steps=1)
+        for sim in (OnlineSimulator(max_steps=1), ReferenceSimulator(max_steps=1)):
             out = sim.evaluate(queue, waits, runtimes, profile, build_portfolio()[0])
             assert out.truncated
             assert out.score == 0.0
@@ -420,8 +428,8 @@ class TestTruncation:
         with the reference's ``t``."""
         cases = [("truncation", truncation_state(), 1)] + truncation_cases()
         for label, (queue, waits, runtimes, profile), max_steps in cases:
-            fast = OnlineSimulator(kernel="fast", max_steps=max_steps)
-            ref = OnlineSimulator(kernel="reference", max_steps=max_steps)
+            fast = OnlineSimulator(max_steps=max_steps)
+            ref = ReferenceSimulator(max_steps=max_steps)
             for policy in build_portfolio() + odx3_members():
                 expected = ref.evaluate(queue, waits, runtimes, profile, policy)
                 assert fast.evaluate(queue, waits, runtimes, profile, policy) == (
@@ -435,7 +443,7 @@ def test_quiet_stretches_are_skipped(monkeypatch):
     walks = []
     walk = fast_sim._walk
     monkeypatch.setattr(fast_sim, "_walk", lambda *a: walks.append(1) or walk(*a))
-    fast = OnlineSimulator(kernel="fast")
+    fast = OnlineSimulator()
     states = {s[0]: s[1:] for s in synthetic_states()}
     for label, name in (
         ("fcfs-late-busy", "ODA-FCFS-FirstFit"),
@@ -472,9 +480,8 @@ def rider_members():
 def rider_states():
     """Every state of the soak, each with its simulator settings."""
     states = [
-        (f"{label}/{acc}", q, w, r, p, OnlineSimulator(rv_accounting=acc))
+        (f"{label}/total", q, w, r, p, OnlineSimulator())
         for label, q, w, r, p in synthetic_states()
-        for acc in ("total", "marginal")
     ]
     states.append(("swf", *swf_state(), OnlineSimulator()))
     states.append(("truncated", *truncation_state(), OnlineSimulator(max_steps=1)))
@@ -539,9 +546,9 @@ def test_fast_kernel_under_strict_audit_end_to_end():
     jobs = generate_trace(DAS2_FS0, duration=1_800.0, seed=5)[:30]
     results = {}
     for kernel in ("fast", "reference"):
-        scheduler = PortfolioScheduler(
-            cost_clock=VirtualCostClock(0.010), seed=7, kernel=kernel
-        )
+        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        if kernel == "reference":
+            scheduler.selector.simulator = ReferenceSimulator(scheduler.utility)
         engine = ClusterEngine(
             [j.fresh_copy() for j in jobs],
             scheduler,
@@ -610,17 +617,16 @@ def test_booting_heavy_disagreement_between_sizing_and_releasing():
     queue = jobs_of(1, procs=1, runtime=50.0)
     # ODB sizes against rented (7) and ODA against available (7 - 0 busy):
     # with booting counted, neither leases anything new for one job.
-    for kernel in ("fast", "reference"):
-        sim = OnlineSimulator(kernel=kernel)
+    for sim in (OnlineSimulator(), ReferenceSimulator()):
         out = sim.evaluate(queue, [0.0], [50.0], profile, policy_by_name("ODA-FCFS-FirstFit"))
         # One idle VM runs the job; the six booting VMs are surplus once
         # ready and are eagerly released — only possible because release
         # supply ignores booting until they finish booting.
         assert not out.truncated and out.score > 0.0
-    f = OnlineSimulator(kernel="fast").evaluate(
+    f = OnlineSimulator().evaluate(
         queue, [0.0], [50.0], profile, policy_by_name("ODA-FCFS-FirstFit")
     )
-    r = OnlineSimulator(kernel="reference").evaluate(
+    r = ReferenceSimulator().evaluate(
         queue, [0.0], [50.0], profile, policy_by_name("ODA-FCFS-FirstFit")
     )
     assert f == r
@@ -701,16 +707,6 @@ def test_charged_is_integer_multiple_of_period():
 # selector: warm-start prefix + shared runs
 
 
-def portfolio_selector(kernel="fast", n=12):
-    sim = OnlineSimulator(kernel=kernel)
-    return TimeConstrainedSelector(
-        build_portfolio()[:n],
-        simulator=sim,
-        time_constraint=10.0,  # large enough to simulate everything
-        cost_clock=VirtualCostClock(0.01),
-    )
-
-
 def paper_selector(simulator):
     """All 66 members under the paper's Δ = 0.2 s at 10 ms a policy:
     about 20 scored per round, so the sets rebuild every round."""
@@ -736,32 +732,12 @@ def successive_rounds(n):
         yield queue, [w + 20.0 * k for w in waits], runtimes, profile
 
 
-class TwoArgumentSimulator(OnlineSimulator):
-    """Overrides only ``evaluate_prepared``, with its old signature."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def evaluate_prepared(self, prep, policy):
-        self.calls += 1
-        return super().evaluate_prepared(prep, policy)
-
-
 class TestSelectorMemo:
-    def test_reference_kernel_disables_memo_and_prep(self):
-        sel = portfolio_selector(kernel="reference")
-        queue, waits, runtimes, profile = round_inputs()
-        sel.select(queue, waits, runtimes, profile)
-        sel.select(queue, waits, runtimes, profile)
-        assert sel.memo_hits == 0
-        assert sel._memo is None
-
     def test_selection_identical_across_kernels(self):
         """Shared runs (fast kernel) and one run per member (reference)
         agree on every round's scores, costs, Δ spent and set sizes."""
-        sels = {k: paper_selector(OnlineSimulator(kernel=k))
-                for k in ("fast", "reference")}
+        sels = {"fast": paper_selector(OnlineSimulator()),
+                "reference": paper_selector(ReferenceSimulator())}
         for queue, waits, runtimes, profile in successive_rounds(12):
             seen = {}
             for kernel, sel in sels.items():
@@ -803,53 +779,49 @@ class TestSelectorMemo:
             assert len(hits) == out.n_shared
             assert len(calls) + out.n_shared == out.n_simulated
 
-    def test_two_argument_evaluate_prepared_override_sees_every_member(self):
-        sim = TwoArgumentSimulator()
-        sel = paper_selector(sim)
-        for queue, waits, runtimes, profile in successive_rounds(4):
-            out = sel.select(queue, waits, runtimes, profile)
-            assert out.n_shared == 0 and out.n_quarantined == 0
-        assert sim.calls == sel.total_simulated > 0
-        assert sel.memo_hits == 0 and sel.quarantined == 0
-
 
 # ---------------------------------------------------------------------------
-# kernel plumbing: ctor validation, pickle back-compat, scoring epilogue
+# kernel plumbing: pickle back-compat, scoring epilogue
 
 
-def test_kernel_ctor_validation():
-    with pytest.raises(ValueError, match="kernel"):
-        OnlineSimulator(kernel="turbo")
-    assert OnlineSimulator(kernel="reference").kernel == "reference"
-    assert OnlineSimulator().kernel == "fast"
-
-
-def test_old_pickles_without_kernel_attr_default_to_fast():
+def test_parent_snapshot_simulator_takes_the_fast_path():
+    """A simulator unpickled from an older snapshot still carries the
+    retired ``kernel`` and ``rv_accounting`` attributes; they are inert,
+    even ``kernel="reference"``: riders get answered, and it scores like
+    a fresh simulator."""
     sim = OnlineSimulator()
-    # Simulate a durability snapshot taken before the attribute existed.
-    del sim.__dict__["kernel"]
-    assert getattr(sim, "kernel", None) == "fast"  # class-level default
-    queue = jobs_of(2)
-    profile = profile_from_vms(0.0, [], max_vms=8)
-    out = sim.evaluate(queue, [0.0, 0.0], [300.0, 300.0], profile, build_portfolio()[0])
-    assert not out.truncated
-
+    sim.__dict__.update(kernel="reference", rv_accounting="total")
     clone = pickle.loads(pickle.dumps(sim))
-    assert getattr(clone, "kernel", None) == "fast"
+    fresh = OnlineSimulator()
+    # The 1-job queue on which 47 riders share the leader's run.
+    now = 7_200.0
+    queue, waits, runtimes = jobs_of(1), [0.0], [100.0]
+    profile = profile_from_vms(now, [vm(0, lease=now - HOUR)], max_vms=4,
+                               boot_delay=100.0)
+    portfolio = build_portfolio()
+    for s in (sim, clone):
+        prep = s.prepare(queue, waits, runtimes, profile)
+        shared = []
+        out = s.evaluate_prepared(prep, portfolio[0], portfolio[1:], shared)
+        assert out == fresh.evaluate(queue, waits, runtimes, profile, portfolio[0])
+        assert len(shared) == 4 * 12 - 1
+        fresh_prep = fresh.prepare(queue, waits, runtimes, profile)
+        for rider, outcome in shared:
+            assert outcome == fresh.evaluate_prepared(fresh_prep, rider)
 
 
 def test_fast_and_reference_kernels_agree_on_a_40_job_queue():
-    """The two kernels score a 40-job queue through their own epilogues
-    (``_score_fast`` vs ``_finalize``); the outcomes must be equal."""
+    """The two kernels score a 40-job queue, each from its own start
+    times and charges; the outcomes must be equal."""
     now = 50.0
     queue = jobs_of(40, procs=1, runtime=90.0)
     waits = [3.0 * i for i in range(40)]
     runtimes = [90.0 + i for i in range(40)]
     profile = profile_from_vms(now, [vm(i, lease=now - 500.0) for i in range(6)], max_vms=64)
-    f = OnlineSimulator(kernel="fast").evaluate(
+    f = OnlineSimulator().evaluate(
         queue, waits, runtimes, profile, build_portfolio()[0]
     )
-    r = OnlineSimulator(kernel="reference").evaluate(
+    r = ReferenceSimulator().evaluate(
         queue, waits, runtimes, profile, build_portfolio()[0]
     )
     assert f == r
@@ -858,7 +830,7 @@ def test_fast_and_reference_kernels_agree_on_a_40_job_queue():
 def test_boundary_release_rule_uses_reference_loop():
     """The fast kernel only covers the eager rule; boundary-rule
     simulators must transparently fall back and still score."""
-    sim = OnlineSimulator(kernel="fast", release_rule="boundary")
+    sim = OnlineSimulator(release_rule="boundary")
     queue = jobs_of(3)
     profile = profile_from_vms(0.0, [vm(0, lease=-100.0)], max_vms=8)
     out = sim.evaluate(queue, [0.0] * 3, [300.0] * 3, profile, build_portfolio()[0])

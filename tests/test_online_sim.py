@@ -93,23 +93,14 @@ class TestEvaluateBasics:
 
 
 class TestScoringModes:
-    def test_total_vs_marginal_accounting(self):
+    def test_total_accounting_charges_the_whole_lease(self):
         j = job(1, procs=1, runtime=60.0)
         # idle VM leased 90 min ago: 2 booked hours; job adds nothing new
         prof = profile(now=5_400.0, vms=[idle_snap(0, lease=0.0, now=5_400.0)])
-        total = OnlineSimulator(rv_accounting="total").evaluate(
-            [j], [0.0], [60.0], prof, policy_by_name("ODB-FCFS-FirstFit")
-        )
-        marginal = OnlineSimulator(rv_accounting="marginal").evaluate(
+        total = OnlineSimulator().evaluate(
             [j], [0.0], [60.0], prof, policy_by_name("ODB-FCFS-FirstFit")
         )
         assert total.rv_seconds == 2 * HOUR  # full booked history
-        assert marginal.rv_seconds == 0.0  # rides the already-paid hour
-        assert marginal.score >= total.score
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            OnlineSimulator(rv_accounting="bogus")
 
 
 class TestPolicyDifferentiation:

@@ -48,10 +48,9 @@ def snapshot_strategy(draw, now: float = 10_000.0):
     vms=st.lists(snapshot_strategy(), min_size=0, max_size=8),
     policy_idx=st.integers(min_value=0, max_value=59),
     release=st.sampled_from(["eager", "boundary"]),
-    accounting=st.sampled_from(["total", "marginal"]),
     data=st.data(),
 )
-def test_evaluate_output_contract(jobs, vms, policy_idx, release, accounting, data):
+def test_evaluate_output_contract(jobs, vms, policy_idx, release, data):
     now = 10_000.0
     # unique job ids
     seen = set()
@@ -65,7 +64,7 @@ def test_evaluate_output_contract(jobs, vms, policy_idx, release, accounting, da
     profile = CloudProfile(
         now=now, vms=tuple(vms), max_vms=64, boot_delay=120.0, billing_period=HOUR
     )
-    sim = OnlineSimulator(rv_accounting=accounting, release_rule=release)
+    sim = OnlineSimulator(release_rule=release)
     policy = build_portfolio()[policy_idx]
     out = sim.evaluate(clean, waits, runtimes, profile, policy)
 

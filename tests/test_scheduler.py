@@ -6,6 +6,7 @@ import pytest
 from repro.cloud.profile import CloudProfile
 from repro.cloud.spot import SpotConfig
 from repro.core.framework import AlgorithmSelectionModel, ProblemInstance
+from repro.core.online_sim import OnlineSimulator
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.core.utility import UtilityFunction
 from repro.experiments.engine import ClusterEngine, EngineConfig
@@ -111,10 +112,10 @@ class TestPortfolioScheduler:
         assert "period=2" in text and "n=60" in text
 
 
-class CrashingSimulator:
-    """Stand-in online simulator whose evaluate always raises."""
+class CrashingSimulator(OnlineSimulator):
+    """Stand-in online simulator whose every evaluation raises."""
 
-    def evaluate(self, queue, waits, runtimes, profile, policy):
+    def evaluate_prepared(self, prep, policy, riders=(), shared=None):
         raise RuntimeError("boom")
 
 

@@ -27,14 +27,14 @@ def profile(now=0.0) -> CloudProfile:
 
 
 class StubSimulator(OnlineSimulator):
-    """Returns scripted scores; counts evaluations."""
+    """Returns scripted scores; counts evaluations; answers no riders."""
 
     def __init__(self, score_fn=None):
         super().__init__()
         self.score_fn = score_fn or (lambda name: 50.0)
         self.evaluated: list[str] = []
 
-    def evaluate(self, queue, waits, runtimes, profile, policy):
+    def evaluate_prepared(self, prep, policy, riders=(), shared=None):
         self.evaluated.append(policy.name)
         s = self.score_fn(policy.name)
         return SimOutcome(score=s, bsd=1.0, rj_seconds=1.0, rv_seconds=1.0,
@@ -230,11 +230,11 @@ class FlakySimulator(StubSimulator):
         super().__init__(score_fn)
         self.fail_when = fail_when
 
-    def evaluate(self, queue, waits, runtimes, profile, policy):
+    def evaluate_prepared(self, prep, policy, riders=(), shared=None):
         if self.fail_when(policy.name):
             self.evaluated.append(policy.name)
             raise RuntimeError(f"simulated crash in {policy.name}")
-        return super().evaluate(queue, waits, runtimes, profile, policy)
+        return super().evaluate_prepared(prep, policy, riders, shared)
 
 
 def make_flaky_selector(fail_when, n=None, score_fn=None, delta=0.2, cost=0.01):
