@@ -28,7 +28,7 @@ def _rows():
                 seed,
                 "oracle",
                 config=EngineConfig(release_rule=rule),
-                **portfolio_kwargs(release_rule=rule),
+                **portfolio_kwargs(),
             )
             rows.append(
                 {

@@ -21,7 +21,6 @@ paper-vs-measured record of every table and figure.
 from repro.cloud import CloudProfile, CloudProvider, ProviderConfig, VM, VMState
 from repro.cloud.failures import FailureModel
 from repro.core import (
-    AlgorithmSelectionModel,
     FixedScheduler,
     OnlineSimulator,
     PortfolioScheduler,
@@ -81,7 +80,6 @@ from repro.workload import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlgorithmSelectionModel",
     "BackfillingPolicy",
     "CheckpointPolicy",
     "CloudProfile",

@@ -108,6 +108,23 @@ def _rate(text: str) -> float:
     return value
 
 
+def _price(text: str) -> float:
+    """A fraction of the on-demand rate in (0, 1], as ``SpotConfig``
+    requires of its mean price and bid."""
+    value = _number(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
+def _burst(text: str) -> float:
+    """A token-bucket capacity of at least one job (``TenantBudget``)."""
+    value = _number(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
@@ -211,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     spot.add_argument("--preempt-rate", type=_nonneg_float, default=0.05,
                       metavar="PER_HOUR",
                       help="mean spot reclaims per VM-hour")
-    spot.add_argument("--spot-price", type=_rate, default=0.3, metavar="MEAN",
+    spot.add_argument("--spot-price", type=_price, default=0.3, metavar="MEAN",
                       help="mean spot price as a fraction of on-demand")
-    spot.add_argument("--spot-bid", type=_rate, default=1.0, metavar="BID",
+    spot.add_argument("--spot-bid", type=_price, default=1.0, metavar="BID",
                       help="default bid ceiling; spot leases are deferred "
                       "while the price exceeds it (policy members may "
                       "override per round)")
@@ -441,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rate", type=_positive_float, default=None,
                        metavar="PER_ROUND",
                        help="default tenant token-bucket refill per round")
-        p.add_argument("--burst", type=_positive_float, default=None,
+        p.add_argument("--burst", type=_burst, default=None,
                        metavar="N", help="default tenant token-bucket burst")
         p.add_argument("--vm-hours", type=_positive_float, default=None,
                        metavar="H", help="default tenant VM-hour budget "

@@ -38,7 +38,7 @@ class VMSnapshot:
 
 @dataclass(slots=True, frozen=True)
 class CloudProfile:
-    """State of the fleet handed to the online simulator.
+    """State of the system handed to the online simulator.
 
     Attributes
     ----------
@@ -48,6 +48,10 @@ class CloudProfile:
         Live VMs (booting, idle, and busy).
     max_vms / boot_delay / billing_period:
         Provider parameters the simulated policies must respect.
+    tick / release_rule:
+        The scheduling tick and idle-VM release rule (see
+        ``EngineConfig``) of the system that took the snapshot; the
+        simulator replays both, so it cannot drift from the engine.
     """
 
     now: float
@@ -55,6 +59,8 @@ class CloudProfile:
     max_vms: int
     boot_delay: float
     billing_period: float
+    tick: float = 20.0
+    release_rule: str = "eager"
     #: Spot-market view (hostile-cloud extension): the current raw spot
     #: price and its risk-adjusted effective price, both as fractions of
     #: the on-demand rate.  ``None`` (the default, and always the case
@@ -63,9 +69,25 @@ class CloudProfile:
     spot_price: float | None = None
     spot_price_effective: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.tick <= 0:
+            raise ValueError(f"tick must be positive, got {self.tick}")
+        if self.release_rule not in ("eager", "boundary"):
+            raise ValueError(
+                "release_rule must be 'eager' or 'boundary', "
+                f"got {self.release_rule!r}"
+            )
+
     @classmethod
-    def capture(cls, provider: "CloudProvider", now: float) -> "CloudProfile":
-        """Snapshot *provider* at time *now*."""
+    def capture(
+        cls,
+        provider: "CloudProvider",
+        now: float,
+        tick: float = 20.0,
+        release_rule: str = "eager",
+    ) -> "CloudProfile":
+        """Snapshot *provider* at time *now*, under the caller's *tick*
+        and *release_rule*."""
         from repro.cloud.billing import HourlyBilling
 
         billing = provider.billing
@@ -87,6 +109,8 @@ class CloudProfile:
             max_vms=provider.config.max_vms,
             boot_delay=provider.config.boot_delay,
             billing_period=period,
+            tick=tick,
+            release_rule=release_rule,
         )
 
     def idle_count(self) -> int:
@@ -107,12 +131,17 @@ def profile_from_vms(
     max_vms: int = 256,
     boot_delay: float = 120.0,
     billing_period: float = 3_600.0,
+    tick: float = 20.0,
+    release_rule: str = "eager",
 ) -> CloudProfile:
-    """Build a profile directly from snapshots (tests, synthetic states)."""
+    """Build a profile directly from snapshots (the service's tenants,
+    tests, synthetic states)."""
     return CloudProfile(
         now=now,
         vms=tuple(vms),
         max_vms=max_vms,
         boot_delay=boot_delay,
         billing_period=billing_period,
+        tick=tick,
+        release_rule=release_rule,
     )

@@ -33,8 +33,8 @@ class ProviderConfig:
     billing_period: float = 3_600.0
     #: Flat-rate discount applied to reserved-instance settlements
     #: (:meth:`CloudProvider.settle_stragglers` and
-    #: :meth:`CloudProvider.finalize_reserved` read it when no explicit
-    #: discount is passed, so call sites cannot silently disagree).
+    #: :meth:`CloudProvider.finalize_reserved` both read it, so they
+    #: cannot disagree).
     reserved_discount: float = 0.4
 
     def __post_init__(self) -> None:
@@ -212,9 +212,7 @@ class CloudProvider:
                 total += self.terminate(vm, now)
         return total
 
-    def settle_stragglers(
-        self, now: float, reserved_discount: float | None = None
-    ) -> float:
+    def settle_stragglers(self, now: float) -> float:
         """Book charges for VMs still BUSY at *now* (stalled-run cleanup).
 
         :meth:`terminate_all` and :meth:`finalize_reserved` deliberately
@@ -224,13 +222,8 @@ class CloudProvider:
         reserved — without touching their (still BUSY) state.  A second
         call books nothing new, and drained runs have no BUSY VMs, so
         this is a no-op outside the stalled case.
-
-        ``reserved_discount`` defaults to the provider config's rate, so
-        every call site settles reserved capacity at the same price as
-        :meth:`finalize_reserved`; pass a value only to override it.
         """
-        if reserved_discount is None:
-            reserved_discount = self.config.reserved_discount
+        reserved_discount = self.config.reserved_discount
         extra = 0.0
         settled: list[tuple[VM, float]] = []
         for vm in self._fleet.values():
@@ -258,18 +251,15 @@ class CloudProvider:
                 vm.ready_time = max(vm.ready_time, vm.lease_time)
         return extra
 
-    def finalize_reserved(self, now: float, discount: float | None = None) -> float:
+    def finalize_reserved(self, now: float) -> float:
         """Settle every reserved instance's flat-rate bill at run end.
 
-        A reserved VM costs ``discount × committed seconds`` whether used
-        or not (the effective-rate model of long-term reservations);
-        the charge is booked into the provider total and returned.
-        ``discount`` defaults to the config's ``reserved_discount``.
+        A reserved VM costs the config's ``reserved_discount`` × committed
+        seconds whether used or not (the effective-rate model of
+        long-term reservations); the charge is booked into the provider
+        total and returned.
         """
-        if discount is None:
-            discount = self.config.reserved_discount
-        if not 0.0 < discount <= 1.0:
-            raise ValueError(f"discount must lie in (0, 1], got {discount}")
+        discount = self.config.reserved_discount
         total = 0.0
         for vm in list(self._fleet.values()):
             if vm.reserved and vm.state is not VMState.BUSY:

@@ -1,7 +1,7 @@
 """The warm-start kernel fast path of the online simulator.
 
 :class:`~repro.core.online_sim.OnlineSimulator` is invoked up to 60
-times per 20 s scheduling tick, so its constant factors are the whole
+times per scheduling tick, so its constant factors are the whole
 product's cost.  This module is a drop-in replacement for its inner
 loop that produces **bit-identical** :class:`SimOutcome` values while
 doing strictly less work per step:
@@ -137,7 +137,7 @@ class KernelPrep:
 
     __slots__ = (
         "queue", "waits", "runtimes", "profile",
-        "t0", "period", "boot", "max_vms",
+        "t0", "period", "boot", "max_vms", "tick", "release_rule",
         "n_jobs", "procs", "est", "waits0", "work",
         "denom10", "unicef_denom", "odx_crossing", "odx_sorted",
         "fcfs_order", "rj",
@@ -161,6 +161,8 @@ class KernelPrep:
         self.period = profile.billing_period
         self.boot = profile.boot_delay
         self.max_vms = profile.max_vms
+        self.tick = profile.tick
+        self.release_rule = profile.release_rule
 
         n = len(queue)
         self.n_jobs = n
@@ -399,8 +401,8 @@ def fast_evaluate(
     """Array-based evaluation of *policy* on *prep*'s snapshot.
 
     Decision-for-decision identical to
-    ``OnlineSimulator._evaluate_reference`` under the eager release
-    rule; see the module docstring for the bit-identity argument.
+    ``OnlineSimulator._evaluate_reference`` on an eager-rule snapshot;
+    see the module docstring for the bit-identity argument.
 
     *riders* ride along: every rider whose provisioning and allocation
     decisions equal *policy*'s at every step has the same trajectory,
@@ -408,7 +410,7 @@ def fast_evaluate(
     dropped at its first differing decision.
     """
     pk, jk, vk, base_prov = plan
-    tick = sim.tick
+    tick = prep.tick
     max_steps = sim.max_steps
 
     t0 = prep.t0

@@ -14,14 +14,19 @@ the scoring function but not the policy code:
 * the reference loop (:meth:`OnlineSimulator._evaluate_reference`) calls
   the same :meth:`CombinedPolicy.allocate` / ``new_vms`` as the real
   engine.  Only members outside the fast kernel's dispatch tables
-  (custom, subclassed or backfilling policies) and the boundary release
-  rule reach it.
+  (custom, subclassed or backfilling policies) and boundary-rule
+  snapshots reach it.
+
+The simulator has no tick or release-rule setting of its own: both
+come with the snapshot (:attr:`CloudProfile.tick`,
+:attr:`CloudProfile.release_rule`), filled by whoever took it — the
+engine from its ``EngineConfig``, the service from its round step.
 
 Tests hold the fast kernel to the reference loop
 (``tests/test_kernel_fast.py``, exact) and the simulator to the engine
 (``tests/test_online_engine_consistency.py``, every portfolio member).
-Both kernels jump between *decision-relevant* times instead of ticking
-every 20 s — VM boot completions, job finishes, idle-VM billing
+Both kernels jump between *decision-relevant* times instead of stepping
+every tick — VM boot completions, job finishes, idle-VM billing
 boundaries, ODX urgency crossings — falling back to tick-stepping in
 the head-blocked state (a job that fits the idle pool waits behind a
 wider head), where queue reordering could unblock allocation.  That
@@ -119,39 +124,29 @@ class _SimVM:
 class OnlineSimulator:
     """Scores (queue, profile, policy) triples.
 
+    The head-blocked fallback step and the idle-VM release rule are the
+    profile's (:attr:`CloudProfile.tick`,
+    :attr:`CloudProfile.release_rule`), so one simulator serves any
+    engine configuration.
+
     Parameters
     ----------
     utility:
         Objective to score with.
-    tick:
-        Fallback step for the head-blocked state (the engine's 20 s).
     max_steps:
         Safety valve: a simulation exceeding this many decision points is
         truncated (score 0), never looped forever.
-    release_rule:
-        The engine's idle-VM release rule (see ``EngineConfig``).
     """
 
     def __init__(
         self,
         utility: UtilityFunction | None = None,
-        tick: float = 20.0,
         max_steps: int = 100_000,
-        release_rule: str = "eager",
     ) -> None:
-        if tick <= 0:
-            raise ValueError(f"tick must be positive, got {tick}")
         if max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        if release_rule not in ("eager", "boundary"):
-            raise ValueError(
-                f"release_rule must be 'eager' or 'boundary', got {release_rule!r}"
-            )
         self.utility = utility or UtilityFunction()
-        self.tick = float(tick)
         self.max_steps = max_steps
-        #: Must match the engine's idle-VM release rule (see EngineConfig).
-        self.release_rule = release_rule
 
     # ------------------------------------------------------------------
 
@@ -183,7 +178,7 @@ class OnlineSimulator:
     ) -> SimOutcome:
         """Evaluate *policy* against a prefix built by :meth:`prepare`.
 
-        Takes the fast kernel under the eager release rule when *policy*
+        Takes the fast kernel on an eager-rule snapshot when *policy*
         has a fast plan (:attr:`CombinedPolicy.kernel_plan`: built from
         the known concrete classes); otherwise runs the reference loop
         (same results).
@@ -194,7 +189,7 @@ class OnlineSimulator:
         *shared* as ``(rider, outcome)``, the outcome its own evaluation
         would return.  The reference loop answers no riders.
         """
-        if self.release_rule == "eager":
+        if prep.release_rule == "eager":
             plan = policy.kernel_plan
             if plan is not None:
                 return fast_evaluate(self, prep, policy, plan, riders, shared)
@@ -237,6 +232,8 @@ class OnlineSimulator:
         period = profile.billing_period
         boot = profile.boot_delay
         max_vms = profile.max_vms
+        tick = prep.tick
+        eager = prep.release_rule == "eager"
         provisioning = policy.provisioning
         # Spot-aware wrappers delegate demand sizing to their base policy;
         # the urgency-crossing wake-ups must fire for a wrapped ODX too.
@@ -319,7 +316,7 @@ class OnlineSimulator:
             )
 
             # --- boundary-rule release pass (ablation mode only) ----------
-            if self.release_rule == "boundary":
+            if not eager:
                 kept: list[_SimVM] = []
                 released: list[_SimVM] = []
                 for vm in idle:
@@ -395,7 +392,7 @@ class OnlineSimulator:
             # --- eager release: drop idle VMs the queue no longer needs ----
             # (idle beyond queued demand only; booting VMs are not counted
             # as supply — see ClusterEngine._release_surplus for why)
-            if self.release_rule == "eager" and idle:
+            if eager and idle:
                 demand_left = sum(procs_of[i] for i in pending)
                 surplus = max(0, len(idle) - demand_left)
                 if surplus > 0:
@@ -419,7 +416,7 @@ class OnlineSimulator:
             # decision can differ (e.g. ODM re-leases once its VMs turn
             # busy), so wake up one tick later rather than jumping past it.
             if supply_changed and pending:
-                cand = t + self.tick
+                cand = t + tick
                 if cand < next_event:
                     next_event = cand
             if is_odx:
@@ -433,11 +430,11 @@ class OnlineSimulator:
                 # priority head does not; reordering over time may unblock it,
                 # so fall back to tick-stepping.
                 if min(procs_of[i] for i in pending) <= len(idle):
-                    cand = t + self.tick
+                    cand = t + tick
                     if cand < next_event:
                         next_event = cand
             if next_event == _INF:
-                next_event = t + self.tick
+                next_event = t + tick
             t = next_event
 
         # Still-active VMs are charged through their last use: with the

@@ -2,17 +2,17 @@
 
 Every portfolio invocation stores which policies were simulated, their
 utility scores, and which one was applied.  The paper uses this store for
-(a) the invocation-ratio analysis of Fig. 5 and (b) the future-work
-reflection step; both are supported here, plus a simple
-score-history-weighted re-ranking (:meth:`ReflectionStore.historical_rank`)
-used by the reflection ablation benchmark.
+the invocation-ratio analysis of Fig. 5 and leaves the reflection step
+itself as future work (§8).  Nothing here feeds back into selection: a
+history-blended re-ranking lost utility in all 16 cases of its ablation
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = ["SelectionRecord", "ReflectionStore"]
 
@@ -77,32 +77,3 @@ class ReflectionStore:
             grouped[key] += count
         total = sum(grouped.values())
         return {k: v / total for k, v in grouped.items()} if total else {}
-
-    # -- reflection: score history -------------------------------------------
-
-    def mean_scores(self) -> dict[str, float]:
-        """Mean simulated utility per policy over all history."""
-        sums: dict[str, float] = defaultdict(float)
-        counts: Counter[str] = Counter()
-        for rec in self.records:
-            sums[rec.policy_name] += rec.score
-            counts[rec.policy_name] += 1
-        return {name: sums[name] / counts[name] for name in sums}
-
-    def historical_rank(
-        self, current_scores: Mapping[str, float], weight: float = 0.3
-    ) -> list[tuple[str, float]]:
-        """Blend current scores with historical means (the reflection step).
-
-        ``blended = (1-weight)·current + weight·historical_mean``; policies
-        without history keep their current score.  Returns names sorted by
-        blended score, best first.
-        """
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {weight}")
-        history = self.mean_scores()
-        blended = {
-            name: (1 - weight) * score + weight * history.get(name, score)
-            for name, score in current_scores.items()
-        }
-        return sorted(blended.items(), key=lambda kv: -kv[1])

@@ -96,13 +96,6 @@ class PortfolioScheduler(Scheduler):
         10 ms clock reproduces §6.5).
     seed:
         Seed for the random Poor-set sampling.
-    sim_tick:
-        Scheduling tick the online simulator assumes (20 s).
-    reflection_weight:
-        The paper's deferred *reflection* step (§2, future work): blend
-        each policy's current utility score with its historical mean from
-        the reflection store before picking the winner.  0 (default)
-        reproduces the paper; >0 enables the ablation.
     quarantine_limit:
         Fail-safe cap: after this many *consecutive* quarantined policy
         evaluations (exceptions swallowed by the selector), the scheduler
@@ -112,6 +105,12 @@ class PortfolioScheduler(Scheduler):
         The fixed policy applied after failover — a policy object, a
         portfolio member's name, or ``None`` for the first portfolio
         member.
+
+    The online simulator takes its tick and idle-VM release rule from
+    the profile the caller's ``capture_profile`` returns (the engine's
+    ``EngineConfig``), so there is no setting here to keep in step.
+    Every invocation's scores and winner go to :attr:`reflection`,
+    which Fig. 5 reads; they never feed back into selection.
     """
 
     def __init__(
@@ -123,16 +122,9 @@ class PortfolioScheduler(Scheduler):
         lam: float = 0.6,
         cost_clock: CostClock | None = None,
         seed: int = 0,
-        sim_tick: float = 20.0,
-        release_rule: str = "eager",
-        reflection_weight: float = 0.0,
         quarantine_limit: int | None = None,
         safe_policy: CombinedPolicy | str | None = None,
     ) -> None:
-        if not 0.0 <= reflection_weight <= 1.0:
-            raise ValueError(
-                f"reflection_weight must lie in [0, 1], got {reflection_weight}"
-            )
         if selection_period < 1:
             raise ValueError(f"selection_period must be >= 1, got {selection_period}")
         if quarantine_limit is not None and quarantine_limit < 1:
@@ -141,9 +133,7 @@ class PortfolioScheduler(Scheduler):
             )
         members = list(portfolio) if portfolio is not None else build_portfolio()
         self.utility = utility or UtilityFunction()
-        self.simulator = OnlineSimulator(
-            self.utility, tick=sim_tick, release_rule=release_rule
-        )
+        self.simulator = OnlineSimulator(self.utility)
         self.selector = TimeConstrainedSelector(
             members,
             simulator=self.simulator,
@@ -154,7 +144,6 @@ class PortfolioScheduler(Scheduler):
         )
         self.selection_period = int(selection_period)
         self.reflection = ReflectionStore()
-        self.reflection_weight = float(reflection_weight)
         self.quarantine_limit = quarantine_limit
         if isinstance(safe_policy, str):
             by_name = {p.name: p for p in members}
@@ -167,7 +156,6 @@ class PortfolioScheduler(Scheduler):
         self.failed_over = False
         self._active: CombinedPolicy | None = None
         self._last_selection_tick: int | None = None
-        self._by_name = {p.name: p for p in members}
         # Telemetry hand-off to the engine's tracer: the outcome of the
         # most recent Algorithm 1 invocation (and whether it tripped the
         # failover cap), cleared when consumed.  Pure observation — the
@@ -230,20 +218,13 @@ class PortfolioScheduler(Scheduler):
                 self._last_selection_tick = tick_index
                 return self.safe_policy
             chosen = outcome.best
-            # Quarantined entries carry −inf scores; keep them out of the
-            # reflection history so historical means stay meaningful.
+            # Quarantined entries carry −inf scores; the store records
+            # only the policies that were actually scored.
             scores = [
                 (ps.policy.name, ps.score)
                 for ps in outcome.simulated
                 if not ps.quarantined
             ]
-            if self.reflection_weight > 0 and scores:
-                # Reflection step: re-rank this invocation's scores blended
-                # with each policy's historical mean utility.
-                ranked = self.reflection.historical_rank(
-                    dict(scores), weight=self.reflection_weight
-                )
-                chosen = self._by_name[ranked[0][0]]
             self._active = chosen
             self._last_selection_tick = tick_index
             if any(name == chosen.name for name, _ in scores):

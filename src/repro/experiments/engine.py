@@ -74,6 +74,9 @@ class EngineConfig:
       exploit;
     * ``"boundary"``: only at the next hourly billing boundary (a
       keep-paid-capacity ablation; see DESIGN.md §7).
+
+    Algorithm 1's online simulator replays ``tick`` and ``release_rule``
+    from the ``CloudProfile`` the engine captures for it.
     """
 
     tick: float = 20.0
@@ -214,22 +217,11 @@ class ClusterEngine:
     ) -> None:
         self.config = config or EngineConfig()
         self.scheduler = scheduler
-        if (
-            isinstance(scheduler, PortfolioScheduler)
-            and scheduler.simulator.release_rule != self.config.release_rule
-        ):
-            raise ValueError(
-                "the portfolio scheduler's online simulator assumes release "
-                f"rule {scheduler.simulator.release_rule!r} but the engine "
-                f"uses {self.config.release_rule!r}; they must match or the "
-                "simulated policies diverge from what the engine executes"
-            )
         self.predictor = predictor or OraclePredictor()
         self.observer = observer
         # The engine-level reserved_discount is baked into the provider
-        # config, so settlement methods called without an explicit
-        # discount (their default reads the config) cannot disagree with
-        # what the engine charges.
+        # config, which the settlement methods read, so they cannot
+        # disagree with what the engine charges.
         provider_cfg = self.config.provider
         if provider_cfg.reserved_discount != self.config.reserved_discount:
             provider_cfg = dataclasses.replace(
@@ -539,9 +531,12 @@ class ClusterEngine:
         return frees
 
     def _capture_profile(self, now: float) -> CloudProfile:
-        """The fleet snapshot Algorithm 1 simulates from, with the spot
-        market's current price when one is running."""
-        profile = CloudProfile.capture(self.provider, now)
+        """The fleet snapshot Algorithm 1 simulates from: this engine's
+        tick and release rule, and the spot market's current price when
+        one is running."""
+        profile = CloudProfile.capture(
+            self.provider, now, self.config.tick, self.config.release_rule
+        )
         if self._spot_market is not None:
             price = self._spot_market.price_at(now)
             profile = dataclasses.replace(

@@ -355,6 +355,11 @@ class ServiceState:
                 max_vms=cap,
                 boot_delay=0.0,
                 billing_period=BILLING_PERIOD,
+                # Simulated at the service's own round step.  The
+                # profile's default eager release rule is not what the
+                # service applies: it keeps a tenant's idle VMs until
+                # its queue empties.
+                tick=self.round_virtual_step,
             )
 
         waits = [now - job.submit_time for job in tenant.queue]

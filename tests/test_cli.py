@@ -61,6 +61,12 @@ class TestArgValidation:
         ["run", "--model", "DAS2-fs0", "--api-rate-window", "0"],
         ["run", "--model", "DAS2-fs0", "--breaker-threshold", "0"],
         ["run", "--model", "DAS2-fs0", "--breaker-cooldown", "-300"],
+        ["run", "--model", "DAS2-fs0", "--spot-fraction", "0.5", "--spot-bid", "0"],
+        ["run", "--model", "DAS2-fs0", "--spot-fraction", "0.5", "--spot-price", "0"],
+        ["service", "run", "--socket", "s.sock", "--journal-dir", "j",
+         "--burst", "0.5"],
+        ["service", "loadgen", "--spawn", "--burst", "0.5"],
+        ["service", "replay", "--journal-dir", "j", "--burst", "0.5"],
     ])
     def test_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:

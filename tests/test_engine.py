@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud.provider import ProviderConfig
+from repro.core.online_sim import OnlineSimulator
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.policies.combined import build_portfolio, policy_by_name
@@ -133,14 +134,33 @@ class TestSchedulers:
         assert result.portfolio_invocations > 0
         assert scheduler.reflection.records
 
-    def test_release_rule_mismatch_rejected(self):
-        scheduler = PortfolioScheduler(release_rule="boundary")
-        with pytest.raises(ValueError, match="must match"):
-            ClusterEngine(
-                jobs_from([(1, 0.0, 10.0, 1)]),
-                scheduler,
-                config=EngineConfig(release_rule="eager"),
-            )
+    def test_simulator_replays_the_engine_tick_and_release_rule(
+        self, monkeypatch
+    ):
+        """Algorithm 1 simulates with the engine's own tick and release
+        rule: every profile it prepares from carries them."""
+        profiles = []
+        prepare = OnlineSimulator.prepare
+
+        def spy(self, queue, waits, runtimes, profile):
+            profiles.append(profile)
+            return prepare(self, queue, waits, runtimes, profile)
+
+        monkeypatch.setattr(OnlineSimulator, "prepare", spy)
+        jobs = generate_trace(DAS2_FS0, duration=2 * 3_600.0, seed=29)
+        scheduler = PortfolioScheduler(
+            portfolio=build_portfolio()[:6],
+            cost_clock=VirtualCostClock(0.01), seed=1,
+        )
+        result = ClusterEngine(
+            jobs, scheduler,
+            config=EngineConfig(tick=10.0, release_rule="boundary"),
+        ).run()
+        assert result.unfinished_jobs == 0
+        assert len(profiles) == scheduler.invocations > 0
+        assert {(p.tick, p.release_rule) for p in profiles} == {
+            (10.0, "boundary")
+        }
 
     def test_knn_predictor_learns_during_run(self):
         jobs = [

@@ -18,7 +18,6 @@ from repro.experiments.table1 import table1_rows
 from repro.policies.combined import build_portfolio
 from repro.predict.knn import KnnPredictor
 from repro.predict.simple import OraclePredictor, UserEstimatePredictor
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import DAS2_FS0, KTH_SP2, generate_trace
 
 TINY = ExperimentScale(compare_duration=4 * 3_600.0, sweep_duration=2 * 3_600.0, seed=5)
@@ -139,22 +138,3 @@ class TestBaselineSchedulers:
             RandomScheduler(portfolio=[])
         with pytest.raises(ValueError):
             RoundRobinScheduler(portfolio=[])
-
-
-class TestReflectionWeight:
-    def test_reflective_scheduler_runs(self):
-        from repro.core.scheduler import PortfolioScheduler
-
-        jobs = generate_trace(DAS2_FS0, duration=4 * 3_600.0, seed=7)
-        scheduler = PortfolioScheduler(
-            cost_clock=VirtualCostClock(0.01), seed=1, reflection_weight=0.5
-        )
-        result = ClusterEngine(jobs, scheduler).run()
-        assert result.unfinished_jobs == 0
-        assert scheduler.reflection.records
-
-    def test_weight_validation(self):
-        from repro.core.scheduler import PortfolioScheduler
-
-        with pytest.raises(ValueError):
-            PortfolioScheduler(reflection_weight=1.5)

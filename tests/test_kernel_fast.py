@@ -398,10 +398,10 @@ class TestTruncation:
             # Never-started job: penalised against the simulated horizon
             # (t), not the started-jobs end time (t0 when none started).
             t0 = profile.now
-            t = out.end_time if out.end_time > t0 else t0 + sim.tick
+            t = out.end_time if out.end_time > t0 else t0 + profile.tick
             est = max(runtimes[0], 1.0)
             denom = max(est, 10.0)
-            total_wait = waits[0] + (sim.tick - 0.0) + (sim.tick - 0.0)
+            total_wait = waits[0] + (profile.tick - 0.0) + (profile.tick - 0.0)
             expected_bsd = max(1.0, (total_wait + denom) / denom)
             assert out.bsd == pytest.approx(expected_bsd)
 
@@ -786,11 +786,13 @@ class TestSelectorMemo:
 
 def test_parent_snapshot_simulator_takes_the_fast_path():
     """A simulator unpickled from an older snapshot still carries the
-    retired ``kernel`` and ``rv_accounting`` attributes; they are inert,
-    even ``kernel="reference"``: riders get answered, and it scores like
-    a fresh simulator."""
+    retired ``kernel``, ``rv_accounting``, ``tick`` and ``release_rule``
+    attributes; they are inert, even ``kernel="reference"`` and
+    ``release_rule="boundary"``: riders get answered, and it scores like
+    a fresh simulator on the profile's own tick and rule."""
     sim = OnlineSimulator()
-    sim.__dict__.update(kernel="reference", rv_accounting="total")
+    sim.__dict__.update(kernel="reference", rv_accounting="total",
+                        tick=10.0, release_rule="boundary")
     clone = pickle.loads(pickle.dumps(sim))
     fresh = OnlineSimulator()
     # The 1-job queue on which 47 riders share the leader's run.
@@ -828,10 +830,47 @@ def test_fast_and_reference_kernels_agree_on_a_40_job_queue():
 
 
 def test_boundary_release_rule_uses_reference_loop():
-    """The fast kernel only covers the eager rule; boundary-rule
-    simulators must transparently fall back and still score."""
-    sim = OnlineSimulator(release_rule="boundary")
+    """The fast kernel only covers the eager rule; a boundary-rule
+    snapshot must transparently fall back and still score."""
+    sim = OnlineSimulator()
     queue = jobs_of(3)
-    profile = profile_from_vms(0.0, [vm(0, lease=-100.0)], max_vms=8)
+    profile = profile_from_vms(0.0, [vm(0, lease=-100.0)], max_vms=8,
+                               release_rule="boundary")
     out = sim.evaluate(queue, [0.0] * 3, [300.0] * 3, profile, build_portfolio()[0])
     assert not out.truncated and out.score > 0.0
+
+
+def lxf_overtake_state(tick):
+    """Head-blocked at ``now = 0``: the 2-wide LXF head A waits for a
+    second VM (busy until 100), while the 1-wide B behind it fits the
+    idle VM and overtakes A once ``dt > 44.4`` s.  The fleet is at its
+    cap, so nothing is leased and B starts at the first tick step past
+    the crossing."""
+    jobs = jobs_with([(1_000.0, 2), (100.0, 1)])
+    profile = profile_from_vms(
+        0.0, [vm(0, lease=-100.0), vm(1, lease=-100.0, busy=100.0)],
+        max_vms=2, tick=tick,
+    )
+    return jobs, [400.0, 0.0], [1_000.0, 100.0], profile
+
+
+@pytest.mark.parametrize("tick, steps, end_time", [
+    # Steps at 0, 10, 20, 30, 40 (A still heads), 50 (B starts), 60
+    # (one tick after the start), 100 (VM 1 frees), 150 (A starts).
+    (10.0, 9, 1_150.0),
+    # Steps at 0, 20, 40, 60 (B starts), 80, 100, 160 (A starts).
+    (20.0, 7, 1_160.0),
+])
+def test_profile_tick_sets_the_head_blocked_step(tick, steps, end_time):
+    """The snapshot's tick, not a simulator setting, is the step of the
+    head-blocked fallback and of the post-start wake-up, on both
+    kernels."""
+    queue, waits, runtimes, profile = lxf_overtake_state(tick)
+    policy = policy_by_name("ODA-LXF-FirstFit")
+    outcomes = [
+        sim.evaluate(queue, waits, runtimes, profile, policy)
+        for sim in (OnlineSimulator(), ReferenceSimulator())
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0].steps, outcomes[0].end_time) == (steps, end_time)
+    assert not outcomes[0].truncated

@@ -62,9 +62,10 @@ def test_evaluate_output_contract(jobs, vms, policy_idx, release, data):
     waits = [data.draw(st.floats(min_value=0.0, max_value=5_000.0)) for _ in clean]
     runtimes = [max(j.runtime, 1.0) for j in clean]
     profile = CloudProfile(
-        now=now, vms=tuple(vms), max_vms=64, boot_delay=120.0, billing_period=HOUR
+        now=now, vms=tuple(vms), max_vms=64, boot_delay=120.0, billing_period=HOUR,
+        release_rule=release,
     )
-    sim = OnlineSimulator(release_rule=release)
+    sim = OnlineSimulator()
     policy = build_portfolio()[policy_idx]
     out = sim.evaluate(clean, waits, runtimes, profile, policy)
 

@@ -53,33 +53,3 @@ class TestInvocationRatios:
     def test_grouped_ratio_validation(self):
         with pytest.raises(ValueError):
             ReflectionStore().grouped_ratio(0)
-
-
-class TestReflectionRanking:
-    def test_mean_scores(self):
-        means = store_with_history().mean_scores()
-        assert means["A"] == pytest.approx(20.0)
-        assert means["B"] == pytest.approx(35.0)
-        assert means["C"] == pytest.approx(5.0)
-
-    def test_historical_rank_blends(self):
-        s = store_with_history()
-        # current: A=100, B=0; history: A=20, B=35
-        ranked = s.historical_rank({"A": 100.0, "B": 0.0}, weight=0.5)
-        assert ranked[0][0] == "A"
-        assert ranked[0][1] == pytest.approx(60.0)
-        assert ranked[1][1] == pytest.approx(17.5)
-
-    def test_weight_zero_is_current_only(self):
-        s = store_with_history()
-        ranked = s.historical_rank({"A": 1.0, "B": 2.0}, weight=0.0)
-        assert ranked[0] == ("B", 2.0)
-
-    def test_unknown_policy_keeps_current(self):
-        s = store_with_history()
-        ranked = s.historical_rank({"ZZZ": 42.0}, weight=0.9)
-        assert ranked[0] == ("ZZZ", pytest.approx(42.0))
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            store_with_history().historical_rank({}, weight=1.5)

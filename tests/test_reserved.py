@@ -41,14 +41,10 @@ class TestProviderReserved:
         vms = p.lease(2, 0.0, reserved=True)
         for vm in vms:
             p.boot_complete(vm, 120.0)
-        charged = p.finalize_reserved(10 * HOUR, discount=0.4)
+        charged = p.finalize_reserved(10 * HOUR)
         # 2 VMs x 10 h x 0.4 — no hour rounding for commitments
         assert charged == pytest.approx(2 * 10 * HOUR * 0.4)
         assert p.leased_count() == 0
-
-    def test_finalize_discount_validation(self):
-        with pytest.raises(ValueError):
-            CloudProvider().finalize_reserved(0.0, discount=0.0)
 
 
 class TestEngineReserved:

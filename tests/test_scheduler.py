@@ -1,14 +1,12 @@
-"""Tests for the scheduler frontends and the abstract selection model."""
+"""Tests for the scheduler frontends."""
 
 import numpy as np
 import pytest
 
 from repro.cloud.profile import CloudProfile
 from repro.cloud.spot import SpotConfig
-from repro.core.framework import AlgorithmSelectionModel, ProblemInstance
 from repro.core.online_sim import OnlineSimulator
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
-from repro.core.utility import UtilityFunction
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.policies.combined import build_portfolio, policy_by_name
 from repro.sim.clock import VirtualCostClock
@@ -202,9 +200,9 @@ class TestLazyProfile:
         captured = []
         original = CloudProfile.capture.__func__
 
-        def counting(cls, provider, now):
+        def counting(cls, provider, now, *args, **kwargs):
             captured.append(now)
-            return original(cls, provider, now)
+            return original(cls, provider, now, *args, **kwargs)
 
         monkeypatch.setattr(CloudProfile, "capture", classmethod(counting))
         scheduler = PortfolioScheduler(
@@ -220,42 +218,3 @@ class TestLazyProfile:
         assert result.ticks > due > 0
         assert scheduler.invocations == due
         assert len(captured) == len(set(captured)) == due
-
-
-class TestAlgorithmSelectionModel:
-    def test_default_spaces(self):
-        model = AlgorithmSelectionModel()
-        assert len(model.algorithm_space) == 60
-        assert model.performance_space[0] == UtilityFunction()
-
-    def test_problem_instance_validation(self):
-        with pytest.raises(ValueError):
-            ProblemInstance(queue=tuple(jobs(2)), waits=(0.0,), runtimes=(1.0, 1.0),
-                            profile=profile())
-
-    def test_best_algorithm_is_argmax(self):
-        model = AlgorithmSelectionModel(
-            algorithm_space=tuple(build_portfolio()[:9])
-        )
-        problem = ProblemInstance(
-            queue=tuple(jobs(5)),
-            waits=(0.0,) * 5,
-            runtimes=(60.0,) * 5,
-            profile=profile(now=100.0),
-        )
-        best, best_score = model.best_algorithm(problem)
-        score = model.selection_mapping()
-        assert best_score == max(score(problem, a) for a in model.algorithm_space)
-
-    def test_foreign_algorithm_rejected(self):
-        model = AlgorithmSelectionModel(algorithm_space=tuple(build_portfolio()[:3]))
-        score = model.selection_mapping()
-        problem = ProblemInstance(
-            queue=(), waits=(), runtimes=(), profile=profile()
-        )
-        with pytest.raises(ValueError):
-            score(problem, build_portfolio()[-1])
-
-    def test_empty_spaces_rejected(self):
-        with pytest.raises(ValueError):
-            AlgorithmSelectionModel(algorithm_space=())

@@ -23,6 +23,7 @@ import pytest
 
 from repro.chaos.hooks import install, uninstall
 from repro.chaos.plan import FaultPlan, FaultRule
+from repro.core.online_sim import OnlineSimulator
 from repro.doctor import doctor_main, run_checks
 from repro.exit_codes import EX_DOCTOR, EX_DRAINED, EX_KILL_SWITCH, EX_OK
 from repro.service.config import ServiceConfig, TenantBudget
@@ -363,6 +364,29 @@ class TestReplay:
         state.apply({"kind": "kill_switch", "engaged": False})
         state.apply({"kind": "round"})
         assert state.total_rented() > 0
+
+    def test_tenant_profiles_carry_the_round_step(self, tmp_path, monkeypatch):
+        """Each tenant's Algorithm 1 simulates with the service's round
+        step as its tick, under the eager rule the capture states."""
+        profiles = []
+        prepare = OnlineSimulator.prepare
+
+        def spy(self, queue, waits, runtimes, profile):
+            profiles.append(profile)
+            return prepare(self, queue, waits, runtimes, profile)
+
+        monkeypatch.setattr(OnlineSimulator, "prepare", spy)
+        state = ServiceState(make_config(tmp_path, round_virtual_step=10.0))
+        job_id = 0
+        for name in ("a", "b"):
+            state.apply(open_record(name))
+            for runtime in (25.0, 60.0, 300.0):
+                job_id += 1
+                state.apply(submit_record(name, job_id, runtime, procs=2))
+        for _ in range(3):
+            state.apply({"kind": "round"})
+        assert len(profiles) >= 2
+        assert {(p.tick, p.release_rule) for p in profiles} == {(10.0, "eager")}
 
 
 def run_server_session(config: ServiceConfig, script):
