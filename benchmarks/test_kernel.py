@@ -30,7 +30,6 @@ from repro.core.scheduler import PortfolioScheduler
 from repro.experiments.engine import ClusterEngine
 from repro.metrics.report import format_table
 from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
@@ -171,7 +170,7 @@ def test_kernel_end_to_end_cell(benchmark):
     jobs = generate_trace(DAS2_FS0, duration=12 * HOUR, seed=13)
 
     def run_cell(kernel: str):
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        scheduler = PortfolioScheduler(seed=7)
         scheduler.selector.simulator = SIMULATORS[kernel](scheduler.utility)
         engine = ClusterEngine([j.fresh_copy() for j in jobs], scheduler)
         begin = time.perf_counter()

@@ -18,7 +18,6 @@ from repro.experiments.cache import cached_trace
 from repro.experiments.configs import DEFAULT_SCALE
 from repro.metrics.report import format_table
 from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import DAS2_FS0
 
 DELTAS_MS = (20, 60, 200, 600)
@@ -58,7 +57,6 @@ def _rows():
             portfolio,
             simulator=OnlineSimulator(),
             time_constraint=ms / 1_000.0,
-            cost_clock=VirtualCostClock(0.010),
             rng=np.random.default_rng(1),
         )
         quality = measure_selection_quality(selector, problems, portfolio)

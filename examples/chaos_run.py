@@ -17,7 +17,6 @@ from repro import (
     FailureModel,
     FaultModel,
     RetryPolicy,
-    VirtualCostClock,
     generate_trace,
     run_portfolio,
 )
@@ -51,12 +50,7 @@ def chaos_config(checkpoint: CheckpointPolicy | None) -> EngineConfig:
 
 def run(label: str, checkpoint: CheckpointPolicy | None) -> None:
     jobs = generate_trace(DAS2_FS0, duration=12 * HOUR, seed=42)
-    result, _ = run_portfolio(
-        jobs,
-        config=chaos_config(checkpoint),
-        cost_clock=VirtualCostClock(0.010),
-        seed=7,
-    )
+    result, _ = run_portfolio(jobs, config=chaos_config(checkpoint), seed=7)
     m, r9 = result.metrics, result.resilience
     print(f"--- {label} ---")
     print(f"jobs finished       : {m.jobs} "

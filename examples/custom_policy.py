@@ -12,7 +12,7 @@ it best.  This example adds:
 Run:  python examples/custom_policy.py
 """
 
-from repro import DAS2_FS0, VirtualCostClock, generate_trace
+from repro import DAS2_FS0, generate_trace
 from repro.core.scheduler import PortfolioScheduler
 from repro.experiments.engine import ClusterEngine
 from repro.policies.base import JobSelectionPolicy, ProvisioningPolicy, SchedContext
@@ -49,9 +49,7 @@ def main() -> None:
     print(f"portfolio size: {len(portfolio)} (60 paper policies + {len(extras)} custom)")
 
     jobs = generate_trace(DAS2_FS0, duration=43_200.0, seed=5)
-    scheduler = PortfolioScheduler(
-        portfolio=portfolio, cost_clock=VirtualCostClock(0.010), seed=7
-    )
+    scheduler = PortfolioScheduler(portfolio=portfolio, seed=7)
     result = ClusterEngine(jobs, scheduler).run()
 
     m = result.metrics

@@ -10,7 +10,7 @@ Run:  python examples/fleet_dynamics.py
 
 from collections import Counter
 
-from repro import DAS2_FS0, VirtualCostClock, generate_trace
+from repro import DAS2_FS0, generate_trace
 from repro.core.scheduler import PortfolioScheduler
 from repro.experiments.engine import ClusterEngine
 from repro.metrics.timeseries import TimeseriesRecorder, sparkline
@@ -19,7 +19,7 @@ from repro.metrics.timeseries import TimeseriesRecorder, sparkline
 def main() -> None:
     jobs = generate_trace(DAS2_FS0, duration=86_400.0, seed=3)
     recorder = TimeseriesRecorder()
-    scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+    scheduler = PortfolioScheduler(seed=7)
     result = ClusterEngine(jobs, scheduler, observer=recorder).run()
 
     print(f"{len(jobs)} jobs over one simulated day "

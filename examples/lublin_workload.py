@@ -9,7 +9,7 @@ runtimes whose long-job share grows with width, diurnal gamma arrivals).
 Run:  python examples/lublin_workload.py
 """
 
-from repro import LublinModel, VirtualCostClock, generate_lublin_trace, run_portfolio
+from repro import LublinModel, generate_lublin_trace, run_portfolio
 from repro.workload.stats import summarize_trace
 
 
@@ -27,9 +27,7 @@ def main() -> None:
         f"offered load {summary.load:.0%} of a {model.max_procs}-VM ceiling"
     )
 
-    result, scheduler = run_portfolio(
-        jobs, cost_clock=VirtualCostClock(0.010), seed=7
-    )
+    result, scheduler = run_portfolio(jobs, seed=7)
     m = result.metrics
     print(
         f"portfolio: BSD {m.avg_bounded_slowdown:.2f}, "

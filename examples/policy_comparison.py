@@ -10,7 +10,6 @@ Run:  python examples/policy_comparison.py
 
 from repro import (
     DAS2_FS0,
-    VirtualCostClock,
     generate_trace,
     policy_by_name,
     run_fixed,
@@ -46,7 +45,7 @@ def main() -> None:
             }
         )
 
-    result, _ = run_portfolio(jobs, cost_clock=VirtualCostClock(0.010), seed=7)
+    result, _ = run_portfolio(jobs, seed=7)
     m = result.metrics
     rows.append(
         {

@@ -9,7 +9,7 @@ predictors).
 Run:  python examples/predictor_study.py
 """
 
-from repro import DAS2_FS0, VirtualCostClock, generate_trace, run_portfolio
+from repro import DAS2_FS0, generate_trace, run_portfolio
 from repro.metrics.report import format_table
 from repro.predict.extra import (
     EwmaPredictor,
@@ -43,9 +43,7 @@ def main() -> None:
     rows = []
     for predictor in predictors():
         predictor.reset()
-        result, _ = run_portfolio(
-            jobs, predictor, cost_clock=VirtualCostClock(0.010), seed=7
-        )
+        result, _ = run_portfolio(jobs, predictor, seed=7)
         m = result.metrics
         rows.append(
             {

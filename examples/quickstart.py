@@ -7,12 +7,7 @@ metrics the paper reports (bounded slowdown, charged cost, utility).
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    KTH_SP2,
-    VirtualCostClock,
-    generate_trace,
-    run_portfolio,
-)
+from repro import KTH_SP2, generate_trace, run_portfolio
 
 
 def main() -> None:
@@ -23,12 +18,7 @@ def main() -> None:
 
     # 2. Run the portfolio scheduler: 60 policies, online simulation,
     #    Algorithm 1 with the paper's Δ = 200 ms / 10 ms-per-policy budget.
-    result, scheduler = run_portfolio(
-        jobs,
-        time_constraint=0.2,
-        cost_clock=VirtualCostClock(0.010),
-        seed=7,
-    )
+    result, scheduler = run_portfolio(jobs, time_constraint=0.2, seed=7)
 
     # 3. The numbers the paper's figures plot.
     m = result.metrics

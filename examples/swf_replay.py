@@ -18,7 +18,6 @@ from repro import (
     parse_swf_file,
     run_portfolio,
 )
-from repro.sim.clock import VirtualCostClock
 from repro.workload.cleaning import clean_jobs
 from repro.workload.swf import write_swf
 
@@ -51,9 +50,7 @@ def main() -> None:
 
     # Replay with the k-NN runtime predictor (the scheduler does not get
     # to see actual runtimes — the realistic regime of the paper's Fig. 7).
-    result, _ = run_portfolio(
-        jobs, KnnPredictor(), cost_clock=VirtualCostClock(0.010), seed=7
-    )
+    result, _ = run_portfolio(jobs, KnnPredictor(), seed=7)
     m = result.metrics
     print(f"replayed {m.jobs} jobs: BSD {m.avg_bounded_slowdown:.2f}, "
           f"cost {m.charged_hours:.0f} VM-hours, utility {result.utility:.2f}")

@@ -8,7 +8,6 @@ against their critical-path lower bounds.
 Run:  python examples/workflow_scheduling.py
 """
 
-from repro import VirtualCostClock
 from repro.core.scheduler import PortfolioScheduler
 from repro.experiments.engine import ClusterEngine
 from repro.metrics.report import format_table
@@ -54,7 +53,7 @@ def main() -> None:
     jobs, deps = merge_workflows(workflows)
     print(f"{len(workflows)} workflows, {len(jobs)} tasks total\n")
 
-    scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+    scheduler = PortfolioScheduler(seed=7)
     result = ClusterEngine(jobs, scheduler, dependencies=deps).run()
     finish = {r.job_id: r.finish_time for r in result.records}
 

@@ -46,7 +46,6 @@ from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.experiments.export import result_to_dict
 from repro.policies.combined import policy_by_name
 from repro.predict.simple import OraclePredictor
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import TRACES, generate_trace
 
 __all__ = ["SoakSpec", "SoakReport", "build_engine", "run_soak"]
@@ -58,9 +57,9 @@ _TRACES_BY_NAME = {spec.name: spec for spec in TRACES}
 class SoakSpec:
     """One reproducible soak configuration.
 
-    ``policy`` is ``"portfolio"`` (Algorithm 1 with the deterministic
-    virtual cost clock, so resumes replay bit-identically) or a fixed
-    portfolio member name.  ``plan`` optionally rides along as extra
+    ``policy`` is ``"portfolio"`` (Algorithm 1, whose fixed per-score
+    charge lets resumes replay bit-identically) or a fixed portfolio
+    member name.  ``plan`` optionally rides along as extra
     write-path fault noise during the faulted runs.
     """
 
@@ -145,9 +144,7 @@ def build_engine(spec: SoakSpec) -> ClusterEngine:
         audit=AuditConfig(level="strict"),
     )
     if spec.policy == "portfolio":
-        scheduler = PortfolioScheduler(
-            cost_clock=VirtualCostClock(0.010), seed=7
-        )
+        scheduler = PortfolioScheduler(seed=7)
     else:
         scheduler = FixedScheduler(policy_by_name(spec.policy))
     return ClusterEngine(jobs, scheduler, OraclePredictor(), config)

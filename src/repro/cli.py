@@ -54,7 +54,6 @@ from repro.parallel.campaign import CAMPAIGN_FIGURES
 from repro.policies.combined import build_portfolio, policy_by_name
 from repro.predict.knn import KnnPredictor
 from repro.predict.simple import OraclePredictor, UserEstimatePredictor
-from repro.sim.clock import VirtualCostClock
 from repro.workload.cleaning import clean_jobs
 from repro.workload.job import Job
 from repro.workload.stats import summarize_trace
@@ -702,7 +701,6 @@ def _build_engine(args: argparse.Namespace):
     if args.policy == "portfolio":
         try:
             scheduler = PortfolioScheduler(
-                cost_clock=VirtualCostClock(0.010),
                 seed=7,
                 quarantine_limit=args.quarantine_limit,
                 safe_policy=args.safe_policy,

@@ -4,9 +4,11 @@
 * :mod:`repro.core.online_sim` — the online simulator scoring policies
   against the current queue and cloud profile (§3.3),
 * :mod:`repro.core.selection` — time-constrained portfolio simulation,
-  Algorithm 1 with the Smart/Stale/Poor sets (§4),
+  Algorithm 1 with the Smart/Stale/Poor sets (§4), charging the paper's
+  10 ms per scored policy,
 * :mod:`repro.core.scheduler` — the scheduler framework of Fig. 2,
-* :mod:`repro.core.reflection` — the performance database (reflection step).
+* :mod:`repro.core.reflection` — the performance database, kept as the
+  per-policy win counts Fig. 5 reads.
 
 In Rice's algorithm-selection model (§2), A is
 :func:`~repro.policies.combined.build_portfolio`, Y is
@@ -15,7 +17,7 @@ In Rice's algorithm-selection model (§2), A is
 """
 
 from repro.core.online_sim import OnlineSimulator, SimOutcome
-from repro.core.reflection import ReflectionStore, SelectionRecord
+from repro.core.reflection import ReflectionStore
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler, Scheduler
 from repro.core.selection import PolicyScore, TimeConstrainedSelector
 from repro.core.utility import UtilityFunction
@@ -27,7 +29,6 @@ __all__ = [
     "PortfolioScheduler",
     "ReflectionStore",
     "Scheduler",
-    "SelectionRecord",
     "SimOutcome",
     "TimeConstrainedSelector",
     "UtilityFunction",

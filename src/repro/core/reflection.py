@@ -1,56 +1,30 @@
 """The reflection database (paper §2, Fig. 2).
 
-Every portfolio invocation stores which policies were simulated, their
-utility scores, and which one was applied.  The paper uses this store for
-the invocation-ratio analysis of Fig. 5 and leaves the reflection step
-itself as future work (§8).  Nothing here feeds back into selection: a
-history-blended re-ranking lost utility in all 16 cases of its ablation
-(DESIGN.md §7).
+The paper uses this store for the invocation-ratio analysis of Fig. 5
+and leaves the reflection step itself as future work (§8), so the store
+keeps what Fig. 5 reads: how many invocations each policy won.  Nothing
+here feeds back into selection: a history-blended re-ranking lost
+utility in all 16 cases of its ablation (DESIGN.md §7).  Every
+invocation's per-policy scores are in the ``round`` records of a run
+trace (``repro run --trace-out``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
 
-__all__ = ["SelectionRecord", "ReflectionStore"]
-
-
-@dataclass(slots=True, frozen=True)
-class SelectionRecord:
-    """One simulated policy at one portfolio invocation."""
-
-    time: float
-    policy_name: str
-    score: float
-    applied: bool
+__all__ = ["ReflectionStore"]
 
 
 class ReflectionStore:
-    """Append-only store of selection history."""
+    """Per-policy win counts over a run's portfolio invocations."""
 
     def __init__(self) -> None:
-        self.records: list[SelectionRecord] = []
         self._applied_counts: Counter[str] = Counter()
 
-    def record_invocation(
-        self, time: float, scores: Iterable[tuple[str, float]], applied: str
-    ) -> None:
-        """Book one invocation: all (policy, score) pairs and the winner."""
-        seen = False
-        for name, score in scores:
-            is_applied = name == applied and not seen
-            if is_applied:
-                seen = True
-            self.records.append(
-                SelectionRecord(
-                    time=time, policy_name=name, score=score, applied=is_applied
-                )
-            )
-        if not seen:
-            raise ValueError(f"applied policy {applied!r} missing from scores")
-        self._applied_counts[applied] += 1
+    def record_win(self, policy_name: str) -> None:
+        """Book one invocation won by *policy_name*."""
+        self._applied_counts[policy_name] += 1
 
     # -- Fig. 5: invocation ratios ------------------------------------------
 

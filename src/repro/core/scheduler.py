@@ -20,7 +20,6 @@ from repro.core.reflection import ReflectionStore
 from repro.core.selection import SelectionOutcome, TimeConstrainedSelector
 from repro.core.utility import UtilityFunction
 from repro.policies.combined import CombinedPolicy, build_portfolio
-from repro.sim.clock import CostClock
 from repro.workload.job import Job
 
 __all__ = [
@@ -88,12 +87,10 @@ class PortfolioScheduler(Scheduler):
         Re-select every this many scheduling ticks (paper §6.4 sweeps
         1×–16× the 20 s tick).
     time_constraint:
-        Δ for Algorithm 1, seconds.
+        Δ for Algorithm 1, seconds; each scored policy costs the paper's
+        10 ms (:data:`~repro.core.selection.POLICY_COST`).
     lam:
         λ, the Smart-set fraction.
-    cost_clock:
-        Cost model for Algorithm 1 (wall clock by default; the virtual
-        10 ms clock reproduces §6.5).
     seed:
         Seed for the random Poor-set sampling.
     quarantine_limit:
@@ -109,8 +106,9 @@ class PortfolioScheduler(Scheduler):
     The online simulator takes its tick and idle-VM release rule from
     the profile the caller's ``capture_profile`` returns (the engine's
     ``EngineConfig``), so there is no setting here to keep in step.
-    Every invocation's scores and winner go to :attr:`reflection`,
-    which Fig. 5 reads; they never feed back into selection.
+    Each invocation's winner, when it was scored and not quarantined,
+    counts one win in :attr:`reflection`, which Fig. 5 reads; wins never
+    feed back into selection.  Per-score history is in the run trace.
     """
 
     def __init__(
@@ -120,7 +118,6 @@ class PortfolioScheduler(Scheduler):
         selection_period: int = 1,
         time_constraint: float = 0.2,
         lam: float = 0.6,
-        cost_clock: CostClock | None = None,
         seed: int = 0,
         quarantine_limit: int | None = None,
         safe_policy: CombinedPolicy | str | None = None,
@@ -139,7 +136,6 @@ class PortfolioScheduler(Scheduler):
             simulator=self.simulator,
             time_constraint=time_constraint,
             lam=lam,
-            cost_clock=cost_clock,
             rng=np.random.default_rng(seed),
         )
         self.selection_period = int(selection_period)
@@ -218,21 +214,15 @@ class PortfolioScheduler(Scheduler):
                 self._last_selection_tick = tick_index
                 return self.safe_policy
             chosen = outcome.best
-            # Quarantined entries carry −inf scores; the store records
-            # only the policies that were actually scored.
-            scores = [
-                (ps.policy.name, ps.score)
-                for ps in outcome.simulated
-                if not ps.quarantined
-            ]
             self._active = chosen
             self._last_selection_tick = tick_index
-            if any(name == chosen.name for name, _ in scores):
-                self.reflection.record_invocation(
-                    time=profile.now,
-                    scores=scores,
-                    applied=chosen.name,
-                )
+            # With every evaluation quarantined the winner is a fallback
+            # nobody scored, which is not a win.
+            if any(
+                ps.policy.name == chosen.name and not ps.quarantined
+                for ps in outcome.simulated
+            ):
+                self.reflection.record_win(chosen.name)
         assert self._active is not None
         return self._active
 

@@ -16,9 +16,9 @@ and whatever went unsimulated becomes Stale.  The sets stabilise at
 ‖Smart‖=λK, ‖Stale‖=λ(N−K), ‖Poor‖=(1−λ)N for K policies simulatable
 within Δ (paper's informal proof, §4) — property-tested in this repo.
 
-The per-policy cost ``c_i`` comes from a pluggable
-:class:`~repro.sim.clock.CostClock`: wall time in production, or the
-paper's deterministic 10 ms per policy for the §6.5 experiments.
+Every scored policy is charged :data:`POLICY_COST`, the constant 10 ms
+per policy simulation of the paper's §6.5 experiments, so the budget
+trajectory is the same on every host and in every replay.
 """
 
 from __future__ import annotations
@@ -32,16 +32,21 @@ import numpy as np
 from repro.cloud.profile import CloudProfile
 from repro.core.online_sim import OnlineSimulator, SimOutcome
 from repro.policies.combined import CombinedPolicy
-from repro.sim.clock import CostClock, WallCostClock
 from repro.workload.job import Job
 
 __all__ = [
     "PolicyScore",
     "TimeConstrainedSelector",
     "SelectionOutcome",
+    "POLICY_COST",
     "QUARANTINE_SCORE",
     "split_budget",
 ]
+
+#: Seconds of Δ charged per scored policy ``c_i``: the paper's constant
+#: 10 ms per policy simulation (§6.5), whether the score came from a
+#: simulation, another member's shared run, or a quarantined raise.
+POLICY_COST = 0.010
 
 #: Score assigned to a policy whose online simulation raised: worse than
 #: any real utility, so a quarantined policy can never win an invocation.
@@ -114,8 +119,6 @@ class TimeConstrainedSelector:
         Δ in seconds (paper explores 0.02–0.6 s; 0.2 s suffices).
     lam:
         λ, the fraction of simulated policies promoted to Smart (0.6).
-    cost_clock:
-        How ``c_i`` is measured (wall clock by default).
     rng:
         Source of the random picks from Poor (seed it for replays).
     """
@@ -126,7 +129,6 @@ class TimeConstrainedSelector:
         simulator: OnlineSimulator | None = None,
         time_constraint: float = 0.2,
         lam: float = 0.6,
-        cost_clock: CostClock | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         if not portfolio:
@@ -138,7 +140,6 @@ class TimeConstrainedSelector:
         self.simulator = simulator or OnlineSimulator()
         self.time_constraint = float(time_constraint)
         self.lam = float(lam)
-        self.cost_clock = cost_clock or WallCostClock()
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
         self.smart: list[CombinedPolicy] = list(portfolio)
@@ -164,9 +165,9 @@ class TimeConstrainedSelector:
         #: Optional :class:`~repro.obs.profiler.Profiler`.  When set,
         #: every online-simulation call is timed into the
         #: ``selector.evaluate`` span and each Algorithm 1 invocation into
-        #: ``selector.select``.  ``None`` (default) adds no clock reads:
-        #: charged costs always come from ``cost_clock``, never from the
-        #: profiler.
+        #: ``selector.select``.  ``None`` (default) adds no clock reads.
+        #: The profiler only observes: every score is charged
+        #: :data:`POLICY_COST`.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -192,17 +193,12 @@ class TimeConstrainedSelector:
             profiler.add("selector.prepare", _time.perf_counter() - prep_begin)
 
     def _simulate(self, policy: CombinedPolicy) -> PolicyScore:
-        """Evaluate one policy, quarantining it if the simulation raises.
+        """Score one policy, quarantining it if the simulation raises.
 
         A raising policy must not abort the whole run (fail-safe portfolio
-        evaluation): it is charged the wall time it burned, scored
-        :data:`QUARANTINE_SCORE`, and demoted to Poor at set-rebuild time.
-
-        Timing brackets the ``evaluate_prepared`` call and nothing else —
-        the charged ``c_i`` must be the simulation's own cost, not the
-        selector's set-rebuild bookkeeping — and goes through
-        :meth:`CostClock.stamp`, so virtual clocks never touch the real
-        clock at all.
+        evaluation): it is scored :data:`QUARANTINE_SCORE` and demoted to
+        Poor at set-rebuild time.  Every score, quarantined or shared,
+        costs :data:`POLICY_COST`.
 
         A member an earlier run of this round already answered is scored
         from the memo; on a miss, every member still unscored this round
@@ -213,18 +209,9 @@ class TimeConstrainedSelector:
         memo = self._memo
         rider, outcome = memo.get(policy.name, (None, None))
         if rider is policy:
-            # Charged like a fresh evaluation under the paper's virtual
-            # clock (which ignores wall time), so shared runs never
-            # perturb the budget trajectory; free on a wall clock, where
-            # the leader paid for the shared run.
             self.memo_hits += 1
             self.consecutive_quarantines = 0
-            return PolicyScore(
-                policy=policy,
-                score=outcome.score,
-                cost=self.cost_clock.measure(0.0, outcome.steps),
-                outcome=outcome,
-            )
+            return PolicyScore(policy, outcome.score, POLICY_COST, outcome)
         # Every member still unscored this round rides along.
         riders = [
             p for p in (*self.smart, *self.stale, *self.poor)
@@ -233,32 +220,24 @@ class TimeConstrainedSelector:
         shared: list = []
         profiler = self.profiler
         span_begin = _time.perf_counter() if profiler is not None else 0.0
-        begin = self.cost_clock.stamp()
         try:
             outcome = self.simulator.evaluate_prepared(
                 self._prep, policy, riders, shared
             )
         except Exception:
-            wall = self.cost_clock.stamp() - begin
-            if profiler is not None:
-                profiler.add("selector.evaluate", _time.perf_counter() - span_begin)
+            outcome = None
+        if profiler is not None:
+            profiler.add("selector.evaluate", _time.perf_counter() - span_begin)
+        if outcome is None:
             self.quarantined += 1
             self.consecutive_quarantines += 1
             return PolicyScore(
-                policy=policy,
-                score=QUARANTINE_SCORE,
-                cost=self.cost_clock.measure(wall, 0),
-                outcome=None,
-                quarantined=True,
+                policy, QUARANTINE_SCORE, POLICY_COST, None, quarantined=True
             )
-        wall = self.cost_clock.stamp() - begin
-        if profiler is not None:
-            profiler.add("selector.evaluate", _time.perf_counter() - span_begin)
         self.consecutive_quarantines = 0
         for rider, rider_outcome in shared:
             memo[rider.name] = (rider, rider_outcome)
-        cost = self.cost_clock.measure(wall, outcome.steps)
-        return PolicyScore(policy=policy, score=outcome.score, cost=cost, outcome=outcome)
+        return PolicyScore(policy, outcome.score, POLICY_COST, outcome)
 
     def select(
         self,

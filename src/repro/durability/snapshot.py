@@ -80,7 +80,11 @@ MANIFEST_NAME = "MANIFEST.json"
 #: 5: the event queue's heap holds ``(time, priority, seq, event)``
 #:    tuples instead of bare events; a format-4 heap would fail on the
 #:    first pop after resume.
-SNAPSHOT_FORMAT = 5
+#: 6: the reflection store keeps only win counts (``SelectionRecord`` is
+#:    gone, so a format-5 portfolio payload fails mid-unpickle), and
+#:    ``EngineConfig`` lost ``reserved_discount``, which would shift
+#:    every later field's pickled value by one (see format 4).
+SNAPSHOT_FORMAT = 6
 
 
 class SnapshotError(RuntimeError):

@@ -3,19 +3,12 @@ paper table/figure (see DESIGN.md §4 for the index).
 """
 
 from repro.experiments.engine import ClusterEngine, EngineConfig, ExperimentResult
-from repro.experiments.runner import (
-    best_policy_per_cluster,
-    run_fixed,
-    run_portfolio,
-    run_provisioning_clusters,
-)
+from repro.experiments.runner import run_fixed, run_portfolio
 
 __all__ = [
     "ClusterEngine",
     "EngineConfig",
     "ExperimentResult",
-    "best_policy_per_cluster",
     "run_fixed",
     "run_portfolio",
-    "run_provisioning_clusters",
 ]

@@ -7,18 +7,15 @@ comparison, one day for parameter sweeps).  ``REPRO_BENCH_SCALE`` scales
 all durations (e.g. ``REPRO_BENCH_SCALE=0.25 pytest benchmarks/`` for a
 quick pass, ``=4`` for a longer, more paper-like run).
 
-The portfolio scheduler defaults follow the paper exactly: Δ = 200 ms,
-virtual cost of 10 ms per policy simulation (§6.5's instrumentation,
-which also makes runs machine-independent), λ = 0.6, selection every
-20 s tick.
+The portfolio scheduler defaults follow the paper exactly: Δ = 200 ms
+(each scored policy costs 10 ms, §6.5's instrumentation, which also
+makes runs machine-independent), λ = 0.6, selection every 20 s tick.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-from repro.sim.clock import VirtualCostClock
 
 __all__ = ["ExperimentScale", "DEFAULT_SCALE", "portfolio_kwargs"]
 
@@ -57,7 +54,6 @@ def portfolio_kwargs(**overrides: object) -> dict[str, object]:
     """The paper's portfolio-scheduler configuration, override-friendly."""
     kwargs: dict[str, object] = dict(
         time_constraint=0.2,
-        cost_clock=VirtualCostClock(0.010),
         lam=0.6,
         selection_period=1,
         seed=7,

@@ -84,11 +84,10 @@ class EngineConfig:
     max_sim_time: float | None = None  # safety horizon; None = trace-derived
     release_rule: str = "eager"
     #: Reserved instances (extension, see DESIGN.md §7): this many VMs are
-    #: committed for the whole run at ``reserved_discount`` of the
-    #: on-demand rate, are always part of the fleet, and are never
+    #: committed for the whole run at the provider's ``reserved_discount``
+    #: of the on-demand rate, are always part of the fleet, and are never
     #: released.  0 reproduces the paper's pure on-demand setup.
     reserved_vms: int = 0
-    reserved_discount: float = 0.4
     #: Optional VM failure injection (extension): on-demand VMs die after
     #: an exponential lifetime; a running job is killed and re-queued from
     #: scratch.  ``None`` (default) = the paper's reliable-VM model.
@@ -144,10 +143,6 @@ class EngineConfig:
             raise ValueError(f"reserved_vms must be >= 0, got {self.reserved_vms}")
         if self.reserved_vms > self.provider.max_vms:
             raise ValueError("reserved_vms cannot exceed the provider cap")
-        if not 0.0 < self.reserved_discount <= 1.0:
-            raise ValueError(
-                f"reserved_discount must lie in (0, 1], got {self.reserved_discount}"
-            )
         if self.max_job_retries is not None and self.max_job_retries < 0:
             raise ValueError(
                 f"max_job_retries must be >= 0, got {self.max_job_retries}"
@@ -219,15 +214,7 @@ class ClusterEngine:
         self.scheduler = scheduler
         self.predictor = predictor or OraclePredictor()
         self.observer = observer
-        # The engine-level reserved_discount is baked into the provider
-        # config, which the settlement methods read, so they cannot
-        # disagree with what the engine charges.
-        provider_cfg = self.config.provider
-        if provider_cfg.reserved_discount != self.config.reserved_discount:
-            provider_cfg = dataclasses.replace(
-                provider_cfg, reserved_discount=self.config.reserved_discount
-            )
-        self.provider = CloudProvider(provider_cfg)
+        self.provider = CloudProvider(self.config.provider)
         self.metrics = MetricsCollector()
 
         max_vms = self.config.provider.max_vms
@@ -447,11 +434,9 @@ class ClusterEngine:
             record["selection"] = {
                 "budget": outcome.budget,
                 "spent": outcome.spent,
-                "n_simulated": len(outcome.simulated),
+                "n_simulated": outcome.n_simulated,
                 "n_shared": outcome.n_shared,
-                "n_quarantined": sum(
-                    1 for ps in outcome.simulated if ps.quarantined
-                ),
+                "n_quarantined": outcome.n_quarantined,
                 "sets": {
                     "smart": [p.name for p in selector.smart],
                     "stale": [p.name for p in selector.stale],
@@ -1266,9 +1251,6 @@ class ClusterEngine:
         else:
             end = self.sim.now
         self.provider.terminate_all(end)
-        # Reserved settlements read the discount from the provider config
-        # (which __init__ rebased to the engine-level value), so the two
-        # call sites below cannot disagree on reserved pricing.
         if self.config.reserved_vms:
             self.provider.finalize_reserved(end)
         # Stalled runs leave BUSY VMs behind; settle their charges too, or

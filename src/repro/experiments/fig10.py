@@ -1,8 +1,8 @@
 """Figure 10: the impact of the simulation time constraint Δ.
 
 Exactly the paper's §6.5 instrumentation: every policy simulation is
-charged a constant 10 ms on a virtual cost clock, and Δ sweeps
-20–600 ms, so Δ/10 ms policies are evaluated per invocation.  Series are
+charged a constant 10 ms, and Δ sweeps 20–600 ms, so Δ/10 ms policies
+are evaluated per invocation.  Series are
 normalized to the Δ = 20 ms run (the paper's axes).
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.experiments.cache import cached_portfolio_run
 from repro.experiments.configs import DEFAULT_SCALE, ExperimentScale, portfolio_kwargs
 from repro.metrics.report import format_table
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import TRACES
 
 __all__ = ["TIME_CONSTRAINTS_MS", "fig10_rows", "main"]
@@ -34,10 +33,7 @@ def fig10_rows(
                 scale.sweep_duration,
                 scale.seed,
                 "oracle",
-                **portfolio_kwargs(
-                    time_constraint=ms / 1_000.0,
-                    cost_clock=VirtualCostClock(0.010),
-                ),
+                **portfolio_kwargs(time_constraint=ms / 1_000.0),
             )
             m = result.metrics
             sims_per_inv = (

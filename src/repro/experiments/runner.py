@@ -1,9 +1,6 @@
-"""High-level experiment helpers shared by the figure drivers.
-
-The paper's Figs. 4/7/8 compare the portfolio scheduler against the best
-constituent policy of each provisioning cluster (ODA-∗, ODB-∗, ...): 12
-allocation combinations per cluster, winner by utility.  These helpers
-run those grids.
+"""High-level experiment helpers shared by the figure drivers: one run
+of a constituent policy, or of the portfolio scheduler.  The per-cluster
+grid of Figs. 4/7/8 is :func:`repro.experiments.compare.compare_trace`.
 """
 
 from __future__ import annotations
@@ -11,18 +8,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
-from repro.core.utility import UtilityFunction
 from repro.experiments.engine import ClusterEngine, EngineConfig, ExperimentResult
-from repro.policies.combined import CombinedPolicy, build_portfolio
+from repro.policies.combined import CombinedPolicy
 from repro.predict.base import RuntimePredictor
 from repro.workload.job import Job
 
-__all__ = [
-    "run_fixed",
-    "run_portfolio",
-    "run_provisioning_clusters",
-    "best_policy_per_cluster",
-]
+__all__ = ["run_fixed", "run_portfolio"]
 
 
 def run_fixed(
@@ -48,40 +39,3 @@ def run_portfolio(
     scheduler = PortfolioScheduler(**scheduler_kwargs)  # type: ignore[arg-type]
     engine = ClusterEngine(jobs, scheduler, predictor, config)
     return engine.run(), scheduler
-
-
-def run_provisioning_clusters(
-    jobs: Sequence[Job],
-    predictor_factory: "callable[[], RuntimePredictor | None]" = lambda: None,
-    config: EngineConfig | None = None,
-    utility: UtilityFunction | None = None,
-) -> dict[str, tuple[CombinedPolicy, ExperimentResult]]:
-    """Per provisioning cluster, run all 12 allocation combinations and keep
-    the best by utility (the figures' ODA-∗ ... ODX-∗ bars).
-
-    ``predictor_factory`` builds a *fresh* predictor per run — stateful
-    predictors (k-NN) must not leak history across runs.
-    """
-    score = utility or UtilityFunction()
-    best: dict[str, tuple[CombinedPolicy, ExperimentResult]] = {}
-    for policy in build_portfolio():
-        result = run_fixed(jobs, policy, predictor_factory(), config)
-        m = result.metrics
-        value = score(m.rj_seconds, m.rv_seconds, m.avg_bounded_slowdown)
-        cluster = policy.provisioning.name
-        incumbent = best.get(cluster)
-        if incumbent is None:
-            best[cluster] = (policy, result)
-        else:
-            im = incumbent[1].metrics
-            iv = score(im.rj_seconds, im.rv_seconds, im.avg_bounded_slowdown)
-            if value > iv:
-                best[cluster] = (policy, result)
-    return best
-
-
-def best_policy_per_cluster(
-    results: dict[str, tuple[CombinedPolicy, ExperimentResult]],
-) -> dict[str, str]:
-    """Names of the winning allocation policy per cluster (figure captions)."""
-    return {cluster: policy.name for cluster, (policy, _) in results.items()}

@@ -35,7 +35,6 @@ from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import policy_by_name
 from repro.service.config import ServiceConfig, TenantBudget
 from repro.service.split import largest_remainder
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 
 __all__ = [
@@ -184,7 +183,6 @@ class ServiceState:
                 scheduler = PortfolioScheduler(
                     selection_period=self.selection_period,
                     time_constraint=0.2,
-                    cost_clock=VirtualCostClock(0.010),
                     seed=seed,
                 )
             else:

@@ -9,24 +9,18 @@ on.  It provides a minimal, fast, dependency-free event engine:
   stable tie-breaking and lazy cancellation.
 * :class:`~repro.sim.kernel.Simulator` — the event loop (schedule /
   run-until / step).
-* :mod:`~repro.sim.clock` — cost clocks used by the time-constrained
-  portfolio selection (wall clock vs. deterministic virtual clock).
 * :mod:`~repro.sim.rng` — seeded, stream-splittable random number helpers.
 """
 
-from repro.sim.clock import CostClock, VirtualCostClock, WallCostClock
 from repro.sim.events import Event, EventKind
 from repro.sim.kernel import EventQueue, Simulator
 from repro.sim.rng import RngFactory, make_rng
 
 __all__ = [
-    "CostClock",
     "Event",
     "EventKind",
     "EventQueue",
     "RngFactory",
     "Simulator",
-    "VirtualCostClock",
-    "WallCostClock",
     "make_rng",
 ]

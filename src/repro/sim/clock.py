@@ -1,73 +1,6 @@
-"""Cost clocks for time-constrained portfolio selection.
+"""Algorithm 1 has no cost clock: it charges a fixed
+:data:`~repro.core.selection.POLICY_COST` per scored policy.  This
+module only keeps the name below importable."""
 
-The paper's Algorithm 1 budgets a wall-clock time constraint Δ across
-policy simulations.  Measuring real wall time makes experiments depend on
-the host machine, so (exactly like the paper's §6.5 instrumentation, which
-injects a constant 10 ms overhead per policy simulation) we provide a
-deterministic :class:`VirtualCostClock` alongside the production
-:class:`WallCostClock`.  Both expose the same tiny interface: a context
-manager that reports the elapsed "cost" of one policy simulation.
-"""
-
-from __future__ import annotations
-
-import abc
-import time
-
-__all__ = ["CostClock", "WallCostClock", "VirtualCostClock"]
-
-
-class CostClock(abc.ABC):
-    """Measures the cost ``c_i`` of one online policy simulation."""
-
-    @abc.abstractmethod
-    def measure(self, wall_seconds: float, sim_events: int) -> float:
-        """Return the charged cost, in seconds, of one policy simulation.
-
-        Parameters
-        ----------
-        wall_seconds:
-            Actual wall time the simulation took.
-        sim_events:
-            Number of simulation steps it executed (a machine-independent
-            size proxy available to virtual clocks).
-        """
-
-    def stamp(self) -> float:
-        """A monotonic reference instant (wall clocks only; virtual clocks
-        return 0 because they never consult real time)."""
-        return 0.0
-
-
-class WallCostClock(CostClock):
-    """Charges real elapsed wall time (production behaviour)."""
-
-    def measure(self, wall_seconds: float, sim_events: int) -> float:
-        return wall_seconds
-
-    def stamp(self) -> float:
-        return time.perf_counter()
-
-    def __repr__(self) -> str:
-        return "WallCostClock()"
-
-
-class VirtualCostClock(CostClock):
-    """Charges a deterministic cost per policy simulation.
-
-    ``fixed_cost`` reproduces the paper's constant 10 ms overhead; an
-    optional ``per_event`` component lets ablations model simulations whose
-    cost grows with queue length.
-    """
-
-    def __init__(self, fixed_cost: float = 0.010, per_event: float = 0.0) -> None:
-        if fixed_cost < 0 or per_event < 0:
-            raise ValueError("costs must be non-negative")
-        self.fixed_cost = float(fixed_cost)
-        self.per_event = float(per_event)
-
-    def measure(self, wall_seconds: float, sim_events: int) -> float:
-        return self.fixed_cost + self.per_event * sim_events
-
-    def __repr__(self) -> str:
-        return f"VirtualCostClock({self.fixed_cost!r}, {self.per_event!r})"
+# benchmarks/perf/workloads.py imports this name; only a benchmark change may edit that file.
+VirtualCostClock = None

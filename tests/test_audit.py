@@ -42,7 +42,6 @@ from repro.metrics.collector import JobRecord
 from repro.obs.profiler import Profiler
 from repro.policies.combined import policy_by_name
 from repro.resilience import CheckpointPolicy, FaultModel, RetryPolicy
-from repro.sim.clock import VirtualCostClock
 from repro.sim.events import Event, EventKind
 from repro.sim.kernel import Simulator
 from repro.workload.cleaning import clean_jobs
@@ -283,7 +282,7 @@ class TestEngineIntegration:
         jobs = generate_trace(DAS2_FS0, duration=6 * HOUR, seed=5)
         engine = ClusterEngine(
             jobs,
-            PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7),
+            PortfolioScheduler(seed=7),
             config=EngineConfig(audit=STRICT),
         )
         report = engine.run().audit

@@ -9,7 +9,6 @@ from repro.policies.backfilling import BackfillingPolicy, build_backfilling_port
 from repro.policies.base import IdleVM, SchedContext
 from repro.policies.combined import policy_by_name
 from repro.predict.knn import KnnPredictor
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
@@ -180,7 +179,6 @@ class TestEndToEnd:
         jobs = generate_trace(DAS2_FS0, duration=4 * 3_600.0, seed=13)
         scheduler = PortfolioScheduler(
             portfolio=build_backfilling_portfolio(),
-            cost_clock=VirtualCostClock(0.01),
             seed=2,
         )
         result = ClusterEngine(jobs, scheduler).run()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exit_codes import EX_USAGE
 
 
 class TestParser:
@@ -187,6 +188,25 @@ class TestRunCommand:
         ])
         assert rc == 2
         assert "unknown policy" in capsys.readouterr().err
+
+    def test_resume_refuses_a_stale_snapshot_format(self, tmp_path, capsys):
+        import json
+
+        snaps = tmp_path / "snaps"
+        assert main([
+            "run", "--model", "DAS2-fs0", "--hours", "2", "--seed", "5",
+            "--policy", "ODM-UNICEF-FirstFit",
+            "--snapshot-dir", str(snaps), "--snapshot-every-events", "200",
+        ]) == 0
+        # Rewrite every manifest as an older build's (format 5) would be.
+        for path in [snaps / "MANIFEST.json", *snaps.glob("snap-*.meta.json")]:
+            raw = json.loads(path.read_text())
+            raw["format"] = 5
+            path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["run", "--resume", "--snapshot-dir", str(snaps)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert "format 5" in err and "expected 6" in err
 
     def test_knn_predictor_flag(self, capsys):
         assert main([

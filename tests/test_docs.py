@@ -53,12 +53,9 @@ def test_benchmark_files_cover_every_paper_artifact():
 def test_quickstart_doc_example_runs():
     """The README's quickstart snippet must stay executable."""
     from repro import KTH_SP2, generate_trace, run_portfolio
-    from repro.sim.clock import VirtualCostClock
 
     jobs = generate_trace(KTH_SP2, duration=2 * 3_600.0, seed=42)
-    result, scheduler = run_portfolio(
-        jobs, cost_clock=VirtualCostClock(0.01), seed=7
-    )
+    result, scheduler = run_portfolio(jobs, seed=7)
     assert result.metrics.avg_bounded_slowdown >= 1.0
     assert isinstance(scheduler.reflection.grouped_ratio(1), dict)
 

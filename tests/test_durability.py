@@ -29,7 +29,6 @@ from repro.durability import (
 from repro.experiments.engine import ClusterEngine
 from repro.experiments.export import result_to_dict
 from repro.policies.combined import policy_by_name
-from repro.sim.clock import VirtualCostClock
 from repro.sim.events import Event, restore_seq, snapshot_seq
 from repro.sim.kernel import EventQueue
 from repro.workload.synthetic import DAS2_FS0, generate_trace
@@ -40,7 +39,7 @@ HOUR = 3_600.0
 def make_engine(hours=24.0, seed=29, portfolio=True):
     jobs = generate_trace(DAS2_FS0, duration=hours * HOUR, seed=seed)
     if portfolio:
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        scheduler = PortfolioScheduler(seed=7)
     else:
         scheduler = FixedScheduler(policy_by_name("ODA-FCFS-FirstFit"))
     return ClusterEngine(jobs, scheduler)
@@ -102,9 +101,10 @@ class TestSnapshotStore:
         # Both the top-level manifest AND the generation sidecar must be
         # tampered: the recovery ladder would otherwise (correctly) fall
         # back to the intact sidecar and load anyway.  Format 3 predates
-        # the removal of EngineConfig.alloc and format 4 the tuple-keyed
-        # event heap; both must be refused too.
-        for stale in (3, 4, 999):
+        # the removal of EngineConfig.alloc, format 4 the tuple-keyed
+        # event heap and format 5 the win-count-only reflection store;
+        # all must be refused too.
+        for stale in (3, 4, 5, 999):
             directory = tmp_path / str(stale)
             store = SnapshotStore(self.config(directory))
             store.write({"a": 1}, sequence=1, sim_time=0.0, events_processed=0)

@@ -11,7 +11,6 @@ from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.cloud.provider import ProviderConfig
 from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 
 HOUR = 3_600.0
@@ -79,7 +78,7 @@ def test_fixed_policy_engine_invariants(jobs, policy_idx, release):
     seed=st.integers(min_value=0, max_value=1_000),
 )
 def test_portfolio_engine_invariants(jobs, seed):
-    scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.01), seed=seed)
+    scheduler = PortfolioScheduler(seed=seed)
     result = ClusterEngine(jobs, scheduler).run()
     assert result.unfinished_jobs == 0
     assert result.portfolio_invocations >= 1

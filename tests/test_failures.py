@@ -7,7 +7,6 @@ from repro.cloud.vm import VMState
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.policies.combined import policy_by_name
-from repro.sim.clock import VirtualCostClock
 from repro.sim.events import EventKind
 from repro.workload.job import Job, JobState
 from repro.workload.synthetic import DAS2_FS0, generate_trace
@@ -119,7 +118,7 @@ class TestEngineWithFailures:
 
     def test_portfolio_scheduler_tolerates_failures(self):
         jobs = generate_trace(DAS2_FS0, duration=2 * 3_600.0, seed=31)
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.01), seed=3)
+        scheduler = PortfolioScheduler(seed=3)
         config = EngineConfig(failures=FailureModel(mtbf_seconds=3_600.0, seed=4))
         result = ClusterEngine(jobs, scheduler, config=config).run()
         assert result.unfinished_jobs == 0

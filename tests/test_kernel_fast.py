@@ -37,7 +37,6 @@ from repro.policies.job_selection import FCFS
 from repro.policies.provisioning import ODA, ODX
 from repro.policies.spot_aware import spot_portfolio_members
 from repro.policies.vm_selection import BestFit, FirstFit
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.swf import parse_swf, write_swf
 from repro.workload.synthetic import DAS2_FS0, generate_trace
@@ -546,7 +545,7 @@ def test_fast_kernel_under_strict_audit_end_to_end():
     jobs = generate_trace(DAS2_FS0, duration=1_800.0, seed=5)[:30]
     results = {}
     for kernel in ("fast", "reference"):
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        scheduler = PortfolioScheduler(seed=7)
         if kernel == "reference":
             scheduler.selector.simulator = ReferenceSimulator(scheduler.utility)
         engine = ClusterEngine(
@@ -714,7 +713,6 @@ def paper_selector(simulator):
         build_portfolio() + spot_portfolio_members(),
         simulator=simulator,
         time_constraint=0.2,
-        cost_clock=VirtualCostClock(0.01),
     )
 
 

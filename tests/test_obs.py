@@ -33,7 +33,6 @@ from repro.obs import (
     render_trace_report,
 )
 from repro.policies.combined import policy_by_name
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
 HOUR = 3_600.0
@@ -49,7 +48,7 @@ _spec.loader.exec_module(validate_prom)
 def make_engine(hours=6.0, seed=29, portfolio=True, **config_kwargs):
     jobs = generate_trace(DAS2_FS0, duration=hours * HOUR, seed=seed)
     if portfolio:
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.010), seed=7)
+        scheduler = PortfolioScheduler(seed=7)
     else:
         scheduler = FixedScheduler(policy_by_name("ODA-FCFS-FirstFit"))
     return ClusterEngine(jobs, scheduler, config=EngineConfig(**config_kwargs))

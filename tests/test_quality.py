@@ -12,7 +12,6 @@ from repro.core.quality import (
 )
 from repro.core.selection import TimeConstrainedSelector
 from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 
 
@@ -39,7 +38,6 @@ def selector(delta=0.2):
         build_portfolio(),
         simulator=OnlineSimulator(),
         time_constraint=delta,
-        cost_clock=VirtualCostClock(0.01),
         rng=np.random.default_rng(0),
     )
 

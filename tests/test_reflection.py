@@ -2,31 +2,40 @@
 
 import pytest
 
+from repro.cloud.profile import CloudProfile
 from repro.core.reflection import ReflectionStore
+from repro.core.scheduler import PortfolioScheduler
+from repro.policies.combined import build_portfolio
+from repro.workload.job import Job
 
 
 def store_with_history() -> ReflectionStore:
     s = ReflectionStore()
-    s.record_invocation(0.0, [("A", 10.0), ("B", 20.0)], applied="B")
-    s.record_invocation(20.0, [("A", 30.0), ("C", 5.0)], applied="A")
-    s.record_invocation(40.0, [("B", 50.0)], applied="B")
+    for winner in ("B", "A", "B"):
+        s.record_win(winner)
     return s
 
 
 class TestRecording:
-    def test_records_every_score(self):
-        s = store_with_history()
-        assert len(s.records) == 5
+    def test_applied_must_be_among_scores(self, monkeypatch):
+        # Every evaluation quarantined: the winner is a fallback nobody
+        # scored, so the scheduler records no win.
+        scheduler = PortfolioScheduler(portfolio=build_portfolio()[:6], seed=0)
 
-    def test_applied_flag_set_once(self):
-        s = ReflectionStore()
-        s.record_invocation(0.0, [("A", 1.0), ("A", 2.0)], applied="A")
-        assert sum(1 for r in s.records if r.applied) == 1
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
 
-    def test_applied_must_be_among_scores(self):
-        s = ReflectionStore()
-        with pytest.raises(ValueError):
-            s.record_invocation(0.0, [("A", 1.0)], applied="Z")
+        monkeypatch.setattr(scheduler.simulator, "evaluate_prepared", crash)
+        queue = [Job(job_id=i, submit_time=0.0, runtime=60.0, procs=1)
+                 for i in range(3)]
+        profile = CloudProfile(now=0.0, vms=(), max_vms=256, boot_delay=120.0,
+                               billing_period=3_600.0)
+        policy = scheduler.active_policy(
+            0, queue, [0.0] * 3, [60.0] * 3, lambda: profile
+        )
+        assert policy is not None
+        assert scheduler.quarantined > 0
+        assert scheduler.reflection.applied_counts() == {}
 
 
 class TestInvocationRatios:
@@ -43,9 +52,8 @@ class TestInvocationRatios:
 
     def test_grouped_ratio(self):
         s = ReflectionStore()
-        s.record_invocation(0.0, [("ODA-FCFS-BestFit", 1.0)], applied="ODA-FCFS-BestFit")
-        s.record_invocation(1.0, [("ODA-LXF-BestFit", 1.0)], applied="ODA-LXF-BestFit")
-        s.record_invocation(2.0, [("ODB-LXF-BestFit", 1.0)], applied="ODB-LXF-BestFit")
+        for winner in ("ODA-FCFS-BestFit", "ODA-LXF-BestFit", "ODB-LXF-BestFit"):
+            s.record_win(winner)
         assert s.grouped_ratio(1) == {"ODA": pytest.approx(2 / 3), "ODB": pytest.approx(1 / 3)}
         g2 = s.grouped_ratio(2)
         assert g2["ODA-FCFS"] == pytest.approx(1 / 3)

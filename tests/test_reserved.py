@@ -54,14 +54,17 @@ class TestEngineReserved:
         with pytest.raises(ValueError):
             EngineConfig(reserved_vms=500)  # exceeds the 256 cap
         with pytest.raises(ValueError):
-            EngineConfig(reserved_vms=1, reserved_discount=0.0)
+            EngineConfig(provider=ProviderConfig(reserved_discount=0.0),
+                         reserved_vms=1)
 
     def test_reserved_vms_serve_jobs_without_new_leases(self):
         """With enough reserved capacity and ODB provisioning, no
         on-demand VM is ever leased; cost is the flat reserved bill."""
         jobs = [Job(job_id=i, submit_time=i * 600.0, runtime=120.0, procs=1)
                 for i in range(5)]
-        config = EngineConfig(reserved_vms=4, reserved_discount=0.4)
+        config = EngineConfig(
+            provider=ProviderConfig(reserved_discount=0.4), reserved_vms=4
+        )
         result = ClusterEngine(
             jobs, FixedScheduler(policy_by_name("ODB-FCFS-FirstFit")), config=config
         ).run()
@@ -97,12 +100,27 @@ class TestEngineReserved:
         ).run()
         assert base.metrics == explicit.metrics
 
+    def test_provider_config_sets_the_reserved_rate(self):
+        """The engine books reserved capacity at the rate the provider
+        config states: 2 VMs x 220 s x 0.25, not the 0.4 default."""
+        jobs = [Job(job_id=1, submit_time=0.0, runtime=100.0, procs=1)]
+        config = EngineConfig(
+            provider=ProviderConfig(reserved_discount=0.25), reserved_vms=2
+        )
+        result = ClusterEngine(
+            jobs, FixedScheduler(policy_by_name("ODA-FCFS-FirstFit")), config=config
+        ).run()
+        assert result.unfinished_jobs == 0
+        assert result.metrics.rv_seconds == pytest.approx(110.0)
+
     def test_mixed_fleet_accounting(self):
         """Reserved + on-demand: RV = flat reserved bill + hour-rounded
         on-demand charges, and the total is consistent."""
         jobs = [Job(job_id=i, submit_time=0.0, runtime=300.0, procs=1)
                 for i in range(6)]
-        config = EngineConfig(reserved_vms=2, reserved_discount=0.5)
+        config = EngineConfig(
+            provider=ProviderConfig(reserved_discount=0.5), reserved_vms=2
+        )
         result = ClusterEngine(
             jobs, FixedScheduler(policy_by_name("ODA-FCFS-FirstFit")), config=config
         ).run()

@@ -15,7 +15,6 @@ from repro.resilience import (
     RetryPolicy,
     RetryState,
 )
-from repro.sim.clock import VirtualCostClock
 from repro.sim.rng import make_rng
 from repro.workload.job import Job, JobState
 from repro.workload.synthetic import DAS2_FS0, generate_trace
@@ -383,7 +382,7 @@ class TestDeterminismAndLayering:
         jobs = _short_trace(seed=31, hours=2.0)
 
         def run():
-            scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.01), seed=3)
+            scheduler = PortfolioScheduler(seed=3)
             config = EngineConfig(
                 failures=FailureModel(mtbf_seconds=2 * HOUR, seed=4),
                 faults=FaultModel(seed=5, lease_fault_rate=0.2,

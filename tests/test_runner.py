@@ -1,14 +1,12 @@
 """Tests for the high-level runner helpers."""
 
-from repro.experiments.runner import (
-    best_policy_per_cluster,
-    run_fixed,
-    run_portfolio,
-    run_provisioning_clusters,
-)
+from repro.experiments import cache
+from repro.experiments.cache import clear_cache, make_predictor
+from repro.experiments.compare import compare_trace
+from repro.experiments.configs import ExperimentScale
+from repro.experiments.runner import run_fixed, run_portfolio
 from repro.policies.combined import policy_by_name
 from repro.predict.knn import KnnPredictor
-from repro.sim.clock import VirtualCostClock
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
 
@@ -25,36 +23,30 @@ class TestRunFixed:
 
 class TestRunPortfolio:
     def test_returns_result_and_scheduler(self):
-        result, scheduler = run_portfolio(
-            small_trace(), cost_clock=VirtualCostClock(0.01), seed=2
-        )
+        result, scheduler = run_portfolio(small_trace(), seed=2)
         assert result.portfolio_invocations == scheduler.invocations > 0
 
 
 class TestClusterGrid:
-    def test_five_clusters_with_matching_winners(self):
-        grid = run_provisioning_clusters(small_trace())
-        assert set(grid) == {"ODA", "ODB", "ODE", "ODM", "ODX"}
-        for cluster, (policy, result) in grid.items():
-            assert policy.provisioning.name == cluster
-            assert result.unfinished_jobs == 0
+    """The best-per-cluster grid of Figs. 4/7/8 (:func:`compare_trace`)."""
 
-    def test_best_policy_names(self):
-        grid = run_provisioning_clusters(small_trace())
-        names = best_policy_per_cluster(grid)
-        assert set(names) == set(grid)
-        assert all(name.startswith(cluster) for cluster, name in names.items())
-
-    def test_fresh_predictor_per_run(self):
-        """The factory must hand a new predictor per run — otherwise k-NN
-        history from one policy's run would leak into the next."""
+    def test_fresh_predictor_per_run(self, monkeypatch):
+        """Each of the 60 fixed runs and the portfolio run gets its own
+        predictor, so k-NN history from one run cannot leak into the next."""
         created = []
 
-        def factory():
-            p = KnnPredictor()
+        def factory(name):
+            p = make_predictor(name)
             created.append(p)
             return p
 
-        run_provisioning_clusters(small_trace()[:30], predictor_factory=factory)
-        assert len(created) == 60
-        assert len(set(map(id, created))) == 60
+        monkeypatch.setattr(cache, "make_predictor", factory)
+        clear_cache()
+        try:
+            compare_trace(DAS2_FS0, "knn",
+                          ExperimentScale(compare_duration=3_600.0, seed=19))
+        finally:
+            clear_cache()
+        assert len(created) == 61
+        assert len(set(map(id, created))) == 61
+        assert all(isinstance(p, KnnPredictor) for p in created)

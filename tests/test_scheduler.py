@@ -1,5 +1,7 @@
 """Tests for the scheduler frontends."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from repro.core.online_sim import OnlineSimulator
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.experiments.engine import ClusterEngine, EngineConfig
 from repro.policies.combined import build_portfolio, policy_by_name
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
@@ -51,7 +52,7 @@ class TestFixedScheduler:
 
 class TestPortfolioScheduler:
     def make(self, **kw):
-        defaults = dict(cost_clock=VirtualCostClock(0.01), seed=0)
+        defaults = dict(seed=0)
         defaults.update(kw)
         return PortfolioScheduler(**defaults)
 
@@ -95,6 +96,21 @@ class TestPortfolioScheduler:
         s.active_policy(0, jobs(), [0.0] * 3, [60.0] * 3, capture())
         assert len(s.reflection.applied_counts()) == 1
 
+    def test_reflection_does_not_grow_with_rounds(self):
+        """The store keeps win counts, not one record per scored policy."""
+        s = self.make()
+        q = jobs()
+
+        def run_until(invocations):
+            while s.invocations < invocations:
+                s.active_policy(s.invocations, q, [0.0] * 3, [60.0] * 3,
+                                capture())
+
+        run_until(20)
+        early = len(pickle.dumps(s.reflection))
+        run_until(200)
+        assert len(pickle.dumps(s.reflection)) - early < 1_024
+
     def test_custom_portfolio(self):
         members = build_portfolio()[:6]
         s = self.make(portfolio=members)
@@ -119,11 +135,7 @@ class CrashingSimulator(OnlineSimulator):
 
 class TestFailover:
     def make(self, **kw):
-        defaults = dict(
-            cost_clock=VirtualCostClock(0.01),
-            seed=0,
-            portfolio=build_portfolio()[:6],
-        )
+        defaults = dict(seed=0, portfolio=build_portfolio()[:6])
         defaults.update(kw)
         s = PortfolioScheduler(**defaults)
         s.selector.simulator = CrashingSimulator()
@@ -173,8 +185,7 @@ class TestFailover:
 
     def test_default_safe_policy_is_first_member(self):
         members = build_portfolio()[:4]
-        s = PortfolioScheduler(portfolio=members,
-                               cost_clock=VirtualCostClock(0.01))
+        s = PortfolioScheduler(portfolio=members)
         assert s.safe_policy is members[0]
 
 
@@ -206,8 +217,7 @@ class TestLazyProfile:
 
         monkeypatch.setattr(CloudProfile, "capture", classmethod(counting))
         scheduler = PortfolioScheduler(
-            portfolio=build_portfolio()[:6], selection_period=4,
-            cost_clock=VirtualCostClock(0.01), seed=0,
+            portfolio=build_portfolio()[:6], selection_period=4, seed=0,
         )
         engine = ClusterEngine(
             generate_trace(DAS2_FS0, duration=2 * HOUR, seed=29), scheduler

@@ -12,12 +12,12 @@ import pytest
 from repro.cloud.profile import CloudProfile
 from repro.core.online_sim import OnlineSimulator, SimOutcome
 from repro.core.selection import (
+    POLICY_COST,
     QUARANTINE_SCORE,
     TimeConstrainedSelector,
     split_budget,
 )
 from repro.policies.combined import build_portfolio
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 
 
@@ -41,7 +41,7 @@ class StubSimulator(OnlineSimulator):
                           steps=1, end_time=0.0)
 
 
-def make_selector(n=None, score_fn=None, delta=0.2, cost=0.01, lam=0.6, seed=0):
+def make_selector(n=None, score_fn=None, delta=0.2, lam=0.6, seed=0):
     portfolio = build_portfolio()
     if n is not None:
         portfolio = portfolio[:n]
@@ -51,7 +51,6 @@ def make_selector(n=None, score_fn=None, delta=0.2, cost=0.01, lam=0.6, seed=0):
         simulator=sim,
         time_constraint=delta,
         lam=lam,
-        cost_clock=VirtualCostClock(cost),
         rng=np.random.default_rng(seed),
     )
     return sel, sim
@@ -63,7 +62,7 @@ def select(sel):
 
 class TestBudgeting:
     def test_first_invocation_simulates_budget_worth(self):
-        # delta/cost = 20 simulations per invocation
+        # delta/POLICY_COST = 20 simulations per invocation
         sel, sim = make_selector()
         out = select(sel)
         assert out.n_simulated == 20
@@ -76,7 +75,7 @@ class TestBudgeting:
         assert out.n_simulated == 60
 
     def test_tiny_budget_still_simulates_one(self):
-        sel, _ = make_selector(delta=0.001, cost=0.01)
+        sel, _ = make_selector(delta=0.001)
         out = select(sel)
         assert out.n_simulated == 1
 
@@ -152,8 +151,8 @@ class TestPhases:
         select(sel)
         select(sel)
         assert sel.invocations == 2
-        # ~Δ/cost per invocation; float residue in the quota split may buy
-        # one extra simulation, which the paper's algorithm permits
+        # ~Δ/POLICY_COST per invocation; float residue in the quota split
+        # may buy one extra simulation, which the paper's algorithm permits
         assert 40 <= sel.total_simulated <= 42
 
 
@@ -161,7 +160,7 @@ class TestStabilisation:
     def test_set_sizes_stabilise_at_paper_values(self):
         """‖Smart‖→λK, ‖Stale‖→λ(N−K), ‖Poor‖→(1−λ)N (paper §4)."""
         n, k, lam = 60, 20, 0.6
-        sel, _ = make_selector(delta=0.2, cost=0.01, lam=lam)
+        sel, _ = make_selector(delta=0.2, lam=lam)
         for _ in range(50):
             select(sel)
         smart, stale, poor = sel.set_sizes()
@@ -237,7 +236,7 @@ class FlakySimulator(StubSimulator):
         return super().evaluate_prepared(prep, policy, riders, shared)
 
 
-def make_flaky_selector(fail_when, n=None, score_fn=None, delta=0.2, cost=0.01):
+def make_flaky_selector(fail_when, n=None, score_fn=None, delta=0.2):
     portfolio = build_portfolio()
     if n is not None:
         portfolio = portfolio[:n]
@@ -246,7 +245,6 @@ def make_flaky_selector(fail_when, n=None, score_fn=None, delta=0.2, cost=0.01):
         portfolio,
         simulator=sim,
         time_constraint=delta,
-        cost_clock=VirtualCostClock(cost),
         rng=np.random.default_rng(0),
     )
     return sel, sim
@@ -306,68 +304,41 @@ class TestQuarantine:
         assert sum(sel.set_sizes()) == 4
 
 
-class RecordingClock(VirtualCostClock):
-    """A virtual clock that logs every call the selector makes."""
-
-    def __init__(self, cost=0.01):
-        super().__init__(cost)
-        self.stamps = 0
-        self.measured: list[tuple[float, int]] = []
-
-    def stamp(self) -> float:
-        self.stamps += 1
-        return super().stamp()
-
-    def measure(self, wall_seconds, sim_events):
-        self.measured.append((wall_seconds, sim_events))
-        return super().measure(wall_seconds, sim_events)
-
-
 class TestBudgetAccounting:
-    """Satellite: pin the timing isolation and exact budget arithmetic."""
+    """Pin the per-score charge and the exact budget arithmetic."""
+
+    def test_every_score_is_charged_the_papers_10ms(self):
+        # No cost argument: Δ = 0.2 s buys exactly 20 of the 60 members.
+        sel = TimeConstrainedSelector(
+            build_portfolio(),
+            simulator=StubSimulator(),
+            time_constraint=0.2,
+        )
+        out = select(sel)
+        assert out.n_simulated == 20
+        assert out.spent == pytest.approx(0.2)
 
     def test_exact_count_and_spend_with_virtual_clock(self):
         # Δ = 0.2 s at 10 ms each over 60 policies: exactly 20 simulated
         # (paper §6.5's K = 20), and the spend is exactly 20 costs.
-        sel, sim = make_selector(delta=0.2, cost=0.01)
+        sel, sim = make_selector(delta=0.2)
         out = select(sel)
         assert out.n_simulated == 20
         assert out.spent == pytest.approx(20 * 0.01)
         assert out.budget == 0.2
 
-    def test_timing_brackets_only_the_evaluate_call(self):
-        # The charged wall time flows through CostClock.stamp() pairs taken
-        # strictly around simulator.evaluate: a virtual clock returns 0
-        # from stamp(), so measure() must see wall == 0.0 for every policy
-        # — the selector's own bookkeeping can never leak into c_i.
-        clock = RecordingClock(0.01)
-        sel = TimeConstrainedSelector(
-            build_portfolio(),
-            simulator=StubSimulator(),
-            time_constraint=0.2,
-            cost_clock=clock,
-            rng=np.random.default_rng(0),
-        )
-        out = select(sel)
-        assert clock.stamps == 2 * out.n_simulated  # one pair per evaluate
-        assert all(wall == 0.0 for wall, _ in clock.measured)
-        assert len(clock.measured) == out.n_simulated
-
     def test_quarantined_policy_still_charged(self):
-        clock = RecordingClock(0.01)
         sel = TimeConstrainedSelector(
             build_portfolio()[:4],
             simulator=FlakySimulator(lambda name: True),
             time_constraint=10.0,
-            cost_clock=clock,
             rng=np.random.default_rng(0),
         )
         out = select(sel)
         assert out.n_quarantined == 4
-        # Crashing simulations burn budget too (wall up to the raise),
-        # with 0 steps since no outcome exists.
-        assert [steps for _, steps in clock.measured] == [0, 0, 0, 0]
-        assert out.spent == pytest.approx(4 * 0.01)
+        # Crashing simulations burn budget too: 10 ms each.
+        assert [ps.cost for ps in out.simulated] == [POLICY_COST] * 4
+        assert out.spent == 4 * 0.010
 
 
 class TestRealSimulatorIntegration:
@@ -379,7 +350,6 @@ class TestRealSimulatorIntegration:
             portfolio,
             simulator=OnlineSimulator(),
             time_constraint=10.0,  # exhaustive
-            cost_clock=VirtualCostClock(0.01),
             rng=np.random.default_rng(0),
         )
         jobs = [Job(job_id=i, submit_time=0.0, runtime=60.0, procs=1) for i in range(20)]

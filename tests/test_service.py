@@ -687,7 +687,10 @@ class TestServer:
         assert valid == path.stat().st_size  # intact journal
         assert records[-1]["kind"] == "drain"  # teardown reached the record
 
-    def test_recovery_prefers_snapshot_then_replays_suffix(self, tmp_path):
+    @staticmethod
+    def crash_after_snapshot(tmp_path):
+        """Serve two submits, snapshot at a round, submit once more and
+        crash (no drain, no forced snapshot); return config and state."""
         config = make_config(
             tmp_path,
             snapshot_dir=str(tmp_path / "snaps"),
@@ -718,13 +721,30 @@ class TestServer:
             server.journal.close()
             return server.state.to_dict()
 
-        crashed_state = asyncio.run(body())
+        return config, asyncio.run(body())
 
+    def test_recovery_prefers_snapshot_then_replays_suffix(self, tmp_path):
+        config, crashed_state = self.crash_after_snapshot(tmp_path)
         reopened = ServiceServer(config)
         assert reopened.recovered_from_snapshot
         # Only the post-snapshot suffix (the third submit) replays.
         full_journal, _ = read_journal(Path(config.journal_dir) / JOURNAL_NAME)
         assert 0 < reopened.recovered_records < len(full_journal)
+        assert reopened.state.to_dict() == crashed_state
+        reopened.journal.close()
+
+    def test_stale_snapshot_format_falls_back_to_journal_replay(self, tmp_path):
+        config, crashed_state = self.crash_after_snapshot(tmp_path)
+        # Rewrite every manifest as an older build's (format 5) would be.
+        snaps = Path(config.snapshot_dir)
+        for path in [snaps / "MANIFEST.json", *snaps.glob("snap-*.meta.json")]:
+            raw = json.loads(path.read_text())
+            raw["format"] = 5
+            path.write_text(json.dumps(raw))
+        reopened = ServiceServer(config)
+        assert not reopened.recovered_from_snapshot
+        full_journal, _ = read_journal(Path(config.journal_dir) / JOURNAL_NAME)
+        assert reopened.recovered_records == len(full_journal)
         assert reopened.state.to_dict() == crashed_state
         reopened.journal.close()
 

@@ -29,7 +29,6 @@ from repro.policies.spot_aware import (
 )
 from repro.predict.simple import OraclePredictor
 from repro.resilience import CheckpointPolicy
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.synthetic import DAS2_FS0, generate_trace
 
@@ -390,7 +389,8 @@ class TestReservedDiscountConfig:
         assert provider.settle_stragglers(HOUR) == pytest.approx(HOUR * 0.25)
 
     def test_engine_rebases_provider_config(self):
-        engine = _engine(reserved_discount=0.3)
+        # The engine's provider runs on the config it was given, unchanged.
+        engine = _engine(provider=ProviderConfig(reserved_discount=0.3))
         assert engine.provider.config.reserved_discount == 0.3
 
 
@@ -575,8 +575,7 @@ class TestEngineSpot:
     def test_portfolio_with_spot_members_under_strict_audit(self):
         jobs = _short_trace(hours=1.5)
         scheduler = PortfolioScheduler(
-            cost_clock=VirtualCostClock(0.010), seed=7,
-            portfolio=build_portfolio()[:4] + spot_portfolio_members(),
+            seed=7, portfolio=build_portfolio()[:4] + spot_portfolio_members(),
         )
         engine = ClusterEngine(
             jobs, scheduler, OraclePredictor(),

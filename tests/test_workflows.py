@@ -5,7 +5,6 @@ import pytest
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.experiments.engine import ClusterEngine
 from repro.policies.combined import policy_by_name
-from repro.sim.clock import VirtualCostClock
 from repro.workload.job import Job
 from repro.workload.workflows import (
     Workflow,
@@ -139,7 +138,7 @@ class TestEngineDependencies:
                                     runtime_mean=200.0, seed=9, first_id=200),
         ]
         jobs, deps = merge_workflows(workflows)
-        scheduler = PortfolioScheduler(cost_clock=VirtualCostClock(0.01), seed=4)
+        scheduler = PortfolioScheduler(seed=4)
         result = ClusterEngine(jobs, scheduler, dependencies=deps).run()
         assert result.unfinished_jobs == 0
         finish = {r.job_id: r.finish_time for r in result.records}
