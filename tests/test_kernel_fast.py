@@ -778,6 +778,86 @@ class TestSelectorMemo:
             assert len(calls) + out.n_shared == out.n_simulated
 
 
+def spied_selector(portfolio, unplanned_ride=False):
+    """A fast-kernel selector whose simulator records each leader with
+    its riders, ``(leader name, [rider names])``, in ``calls``.
+
+    With *unplanned_ride*, each leader also carries every member the
+    round leaves unscored that no earlier leader answered: the riders a
+    selector gets that does not plan its round first."""
+    sim = OnlineSimulator()
+    calls = []
+    evaluate_prepared = sim.evaluate_prepared
+
+    def spy(prep, policy, riders=(), shared=None):
+        riders = list(riders)
+        if unplanned_ride:
+            riders += [p for p in (*sel.smart, *sel.stale, *sel.poor)
+                       if p.name not in sel._memo]
+        calls.append((policy.name, [r.name for r in riders]))
+        return evaluate_prepared(prep, policy, riders, shared)
+
+    # An instance attribute, so the class still has no override.
+    sim.evaluate_prepared = spy
+    sel = TimeConstrainedSelector(portfolio, simulator=sim, time_constraint=0.2)
+    return sel, calls
+
+
+class TestSelectorPlan:
+    def test_riders_are_the_rounds_later_members(self):
+        """A leader carries only members its own round scores after it:
+        the round's first leader carries the 19 other planned members,
+        not all 59 others."""
+        sel, calls = spied_selector(build_portfolio())
+        order = []
+        simulate = sel._simulate
+
+        def spy_simulate(policy, *rest):
+            order.append(policy.name)
+            return simulate(policy, *rest)
+
+        sel._simulate = spy_simulate
+        for k, (queue, waits, runtimes, profile) in enumerate(successive_rounds(12)):
+            calls.clear()
+            order.clear()
+            out = sel.select(queue, waits, runtimes, profile)
+            assert sorted(order) == sorted(ps.policy.name for ps in out.simulated)
+            for leader, riders in calls:
+                later = order[order.index(leader) + 1:]
+                assert set(riders) <= set(later), (k, leader)
+            if k == 0:
+                assert len(order) == 20
+                assert calls[0][0] == order[0]
+                assert sorted(calls[0][1]) == sorted(order[1:])
+
+    @pytest.mark.parametrize(
+        "portfolio",
+        [build_portfolio, lambda: build_portfolio() + spot_portfolio_members()],
+        ids=["paper-60", "spot-66"],
+    )
+    def test_unplanned_riders_change_nothing(self, portfolio):
+        """Letting the round's unplanned members ride as well, as they
+        did before the round was planned, changes no leader, shared
+        score, score, Δ spent or set."""
+        plain, plain_calls = spied_selector(portfolio())
+        wide, wide_calls = spied_selector(portfolio(), unplanned_ride=True)
+        for queue, waits, runtimes, profile in successive_rounds(12):
+            seen = []
+            for sel, calls in ((plain, plain_calls), (wide, wide_calls)):
+                calls.clear()
+                out = sel.select(queue, waits, runtimes, profile)
+                seen.append((
+                    [leader for leader, _ in calls],
+                    out.n_shared,
+                    [(ps.policy.name, ps.score, ps.cost) for ps in out.simulated],
+                    out.best.name,
+                    out.spent,
+                    sel.set_sizes(),
+                ))
+            assert seen[0] == seen[1]
+        assert plain.memo_hits == wide.memo_hits > 0
+
+
 # ---------------------------------------------------------------------------
 # kernel plumbing: pickle back-compat, scoring epilogue
 

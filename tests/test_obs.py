@@ -33,7 +33,7 @@ from repro.obs import (
     render_trace_report,
 )
 from repro.policies.combined import policy_by_name
-from repro.workload.synthetic import DAS2_FS0, generate_trace
+from repro.workload.synthetic import DAS2_FS0, KTH_SP2, generate_trace
 
 HOUR = 3_600.0
 
@@ -308,6 +308,52 @@ class TestEngineWiring:
         # result's own summaries feed the exporter.
         plain = make_engine().run()
         assert validate_prom.validate_text(prometheus_text(plain)) == []
+
+
+def report_wins(report: str) -> dict[str, int]:
+    """``policy -> selection_wins`` from the report's policies table."""
+    lines = report.splitlines()
+    at = lines.index("policies by applied rounds (top 10)")
+    assert lines[at + 1].split() == ["policy", "applied_rounds", "selection_wins"]
+    wins = {}
+    for line in lines[at + 3:]:
+        if not line.strip():
+            break
+        name, _, won = line.split()
+        wins[name] = int(won)
+    return wins
+
+
+class TestTraceReportWins:
+    @pytest.mark.parametrize(
+        "scored, quarantine_limit",
+        [("none", None), ("none", 3), ("safe", 3), ("safe", None)],
+        ids=["all-quarantined", "failover", "failover-safe-scored", "safe-scored"],
+    )
+    def test_wins_are_the_reflection_stores(self, tmp_path, scored, quarantine_limit):
+        """The report books a win where Fig. 5's store does: only for a
+        scored, non-quarantined winner, and never on the failover round
+        (even when the safe policy scored best there)."""
+        jobs = generate_trace(KTH_SP2, duration=2 * HOUR, seed=42)
+        scheduler = PortfolioScheduler(seed=7, quarantine_limit=quarantine_limit)
+        evaluate_prepared = scheduler.simulator.evaluate_prepared
+
+        def flaky(prep, policy, riders=(), shared=None):
+            if scored == "safe" and policy is scheduler.safe_policy:
+                return evaluate_prepared(prep, policy)
+            raise RuntimeError("boom")
+
+        scheduler.simulator.evaluate_prepared = flaky
+        path = tmp_path / "run.jsonl"
+        ClusterEngine(
+            jobs, scheduler, config=EngineConfig(trace=TraceConfig(path=str(path)))
+        ).run()
+        trace = read_trace(path)
+        assert len(trace.of_kind("failover")) == (quarantine_limit is not None)
+        counts = scheduler.reflection.applied_counts()
+        assert bool(counts) == (scored == "safe" and quarantine_limit is None)
+        shown = report_wins(render_trace_report(trace))
+        assert shown == {name: counts.get(name, 0) for name in shown}
 
 
 class TestKillResumeTrace:

@@ -6,6 +6,8 @@ with controllable scores/costs so every branch is exercised
 deterministically.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,26 @@ class TestDeterminism:
         for _ in range(5):
             assert select(a).best.name == select(b).best.name
         assert [p.name for p in a.smart] == [p.name for p in b.smart]
+
+    def test_round_plan_does_not_depend_on_its_scores(self):
+        """Every score costs the same, so which members a round scores,
+        in what order, and the Δ it spends are settled by the sets and
+        the RNG alone: two copies fed different scores agree on them."""
+        sel, _ = make_selector(
+            score_fn=lambda name: float(sum(map(ord, name)) % 13), seed=3
+        )
+        for _ in range(4):
+            select(sel)
+        a, b = copy.deepcopy(sel), copy.deepcopy(sel)
+        a.simulator.score_fn = lambda name: float(len(name) % 7)
+        b.simulator.score_fn = lambda name: -float(sum(map(ord, name)) % 11)
+        a.simulator.evaluated.clear()
+        b.simulator.evaluated.clear()
+        out_a, out_b = select(a), select(b)
+        assert a.simulator.evaluated == b.simulator.evaluated
+        assert len(a.simulator.evaluated) == out_a.n_simulated > 0
+        assert out_a.spent == out_b.spent
+        assert out_a.best.name != out_b.best.name
 
 
 class TestSplitBudget:
