@@ -29,12 +29,6 @@ class VMSnapshot:
     ready_time: float
     busy_until: float  # -1 when not busy
 
-    def is_booting(self, now: float) -> bool:
-        return now < self.ready_time
-
-    def is_busy(self, now: float) -> bool:
-        return self.busy_until > now
-
 
 @dataclass(slots=True, frozen=True)
 class CloudProfile:
@@ -112,17 +106,6 @@ class CloudProfile:
             tick=tick,
             release_rule=release_rule,
         )
-
-    def idle_count(self) -> int:
-        return sum(
-            1 for vm in self.vms if not vm.is_booting(self.now) and not vm.is_busy(self.now)
-        )
-
-    def booting_count(self) -> int:
-        return sum(1 for vm in self.vms if vm.is_booting(self.now))
-
-    def busy_count(self) -> int:
-        return sum(1 for vm in self.vms if vm.is_busy(self.now))
 
 
 def profile_from_vms(

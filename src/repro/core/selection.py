@@ -18,7 +18,13 @@ within Δ (paper's informal proof, §4) — property-tested in this repo.
 
 Every scored policy is charged :data:`POLICY_COST`, the constant 10 ms
 per policy simulation of the paper's §6.5 experiments, so the budget
-trajectory is the same on every host and in every replay.
+trajectory is the same on every host and in every replay.  Because no
+charge depends on a score, each invocation first runs the three quota
+loops to fix its plan (which members it scores, in what order, with the
+Poor draws) and only then simulates.  It scores the plan in order, and
+a simulation carries as riders the plan's later members that no earlier
+run of the round has answered, so a shared kernel run answers only
+members the round scores.
 """
 
 from __future__ import annotations
@@ -192,7 +198,9 @@ class TimeConstrainedSelector:
         if profiler is not None:
             profiler.add("selector.prepare", _time.perf_counter() - prep_begin)
 
-    def _simulate(self, policy: CombinedPolicy) -> PolicyScore:
+    def _simulate(
+        self, policy: CombinedPolicy, later: Sequence[CombinedPolicy]
+    ) -> PolicyScore:
         """Score one policy, quarantining it if the simulation raises.
 
         A raising policy must not abort the whole run (fail-safe portfolio
@@ -201,10 +209,11 @@ class TimeConstrainedSelector:
         costs :data:`POLICY_COST`.
 
         A member an earlier run of this round already answered is scored
-        from the memo; on a miss, every member still unscored this round
-        rides along with *policy* (see
+        from the memo.  On a miss, the riders are *later*, the members
+        the round's plan scores after *policy*, less those the memo
+        already holds: they ride along with *policy* (see
         :meth:`OnlineSimulator.evaluate_prepared`), and the answered
-        riders fill the memo.
+        riders fill the memo.  Members the plan leaves out never ride.
         """
         memo = self._memo
         rider, outcome = memo.get(policy.name, (None, None))
@@ -212,11 +221,7 @@ class TimeConstrainedSelector:
             self.memo_hits += 1
             self.consecutive_quarantines = 0
             return PolicyScore(policy, outcome.score, POLICY_COST, outcome)
-        # Every member still unscored this round rides along.
-        riders = [
-            p for p in (*self.smart, *self.stale, *self.poor)
-            if p.name not in memo
-        ]
+        riders = [p for p in later if p.name not in memo]
         shared: list = []
         profiler = self.profiler
         span_begin = _time.perf_counter() if profiler is not None else 0.0
@@ -251,6 +256,8 @@ class TimeConstrainedSelector:
         Follows the paper's pseudo-code exactly: quota split (lines 1-2),
         sequential Smart and Stale phases (3-12), leftover-funded random
         Poor phase (13-19), set rebuild (20-23), best-first return (24).
+        The phases pick the round's members before any is simulated (see
+        :meth:`_phases`).
         """
         select_begin = _time.perf_counter() if self.profiler is not None else 0.0
         delta = self.time_constraint
@@ -289,35 +296,42 @@ class TimeConstrainedSelector:
     def _phases(
         self, d1: float, d2: float, d3: float
     ) -> tuple[list[PolicyScore], float]:
-        """Phases 2a-2c, one policy at a time (the paper's loop)."""
-        simulated: list[PolicyScore] = []
-        spent = 0.0
+        """Phases 2a-2c in two passes: plan the round, then score it.
 
-        def run(policy: CombinedPolicy) -> float:
-            ps = self._simulate(policy)
-            simulated.append(ps)
-            return ps.cost
+        The plan pass runs the paper's three quota loops, picking members
+        and charging each pick :data:`POLICY_COST`.  The charge does not
+        depend on the score, so the picks, their order, the Poor draws
+        and Δ spent are exactly those of a loop that simulated as it
+        went.  The score pass then scores the plan in order; each member
+        passes the plan's later members on as riders (:meth:`_simulate`).
+        """
+        plan: list[CombinedPolicy] = []
+        spent = 0.0
 
         # Phase 2a: Smart, in order, while its quota lasts.
         while self.smart and d1 > 0:
-            cost = run(self.smart.pop(0))
-            d1 -= cost
-            spent += cost
+            plan.append(self.smart.pop(0))
+            d1 -= POLICY_COST
+            spent += POLICY_COST
 
         # Phase 2b: Stale, in staleness order, while its quota lasts.
         while self.stale and d2 > 0:
-            cost = run(self.stale.pop(0))
-            d2 -= cost
-            spent += cost
+            plan.append(self.stale.pop(0))
+            d2 -= POLICY_COST
+            spent += POLICY_COST
 
         # Phase 2c: Poor, random picks, funded by its quota plus leftovers.
         d3 = d3 + d2 + d1
         while self.poor and d3 > 0:
             idx = int(self.rng.integers(len(self.poor)))
-            cost = run(self.poor.pop(idx))
-            d3 -= cost
-            spent += cost
+            plan.append(self.poor.pop(idx))
+            d3 -= POLICY_COST
+            spent += POLICY_COST
 
+        simulated = [
+            self._simulate(policy, plan[at + 1:])
+            for at, policy in enumerate(plan)
+        ]
         return simulated, spent
 
     def _rebuild_sets(self, simulated: list[PolicyScore]) -> CombinedPolicy:

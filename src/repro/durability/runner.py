@@ -7,8 +7,8 @@ whenever a wall-clock or event-count trigger fires, and snapshot-then-exit
 on SIGINT/SIGTERM.  A SIGKILLed run loses at most the work since its last
 snapshot; :meth:`DurableRunner.resume` verifies and restores the latest
 snapshot and continues to a final result that is bit-identical to an
-uninterrupted run (given a deterministic cost clock — wall-clock selection
-budgets are inherently host-dependent).
+uninterrupted run: Algorithm 1 charges a fixed cost per scored policy,
+so no scheduling decision depends on the host's clock.
 
 On success the store's manifest is marked ``completed`` and carries the
 final :class:`~repro.experiments.engine.ExperimentResult`, so resuming an

@@ -152,7 +152,18 @@ def render_trace_report(
         out.append("no scheduler rounds recorded")
         return "\n".join(out)
 
-    # Per-policy application counts and Algorithm 1 win counts.
+    # Per-policy application counts and Algorithm 1 win counts.  A round
+    # books a win as the scheduler's reflection store (Fig. 5) does: its
+    # applied policy must be its first non-quarantined score, and no
+    # failover record may follow it (the failover round applies the safe
+    # policy, whatever scored best).
+    failed_over: set[object] = set()
+    last_round: object = None
+    for record in trace.records:
+        if record.get("kind") == ROUND:
+            last_round = record.get("round")
+        elif record.get("kind") == FAILOVER:
+            failed_over.add(last_round)
     applied: dict[str, int] = {}
     wins: dict[str, int] = {}
     budgets: list[float] = []
@@ -165,7 +176,13 @@ def render_trace_report(
         applied[name] = applied.get(name, 0) + 1
         sel = r.get("selection")
         if isinstance(sel, dict):
-            wins[name] = wins.get(name, 0) + 1
+            winner = next(
+                (s.get("policy") for s in sel.get("scores", ())
+                 if not s.get("quarantined")),
+                None,
+            )
+            if winner == name and r.get("round") not in failed_over:
+                wins[name] = wins.get(name, 0) + 1
             budgets.append(float(sel.get("budget", 0.0)))
             spents.append(float(sel.get("spent", 0.0)))
             n_sim += int(sel.get("n_simulated", 0))

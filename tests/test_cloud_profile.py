@@ -6,20 +6,6 @@ from repro.cloud.profile import CloudProfile, VMSnapshot, profile_from_vms
 from repro.cloud.provider import CloudProvider, ProviderConfig
 
 
-class TestVMSnapshot:
-    def test_booting_and_busy_predicates(self):
-        snap = VMSnapshot(vm_id=1, lease_time=0.0, ready_time=120.0, busy_until=500.0)
-        assert snap.is_booting(now=60.0)
-        assert not snap.is_booting(now=120.0)
-        assert snap.is_busy(now=300.0)
-        assert not snap.is_busy(now=500.0)
-
-    def test_idle_snapshot(self):
-        snap = VMSnapshot(vm_id=1, lease_time=0.0, ready_time=0.0, busy_until=-1.0)
-        assert not snap.is_busy(10.0)
-        assert not snap.is_booting(10.0)
-
-
 class TestCapture:
     def test_capture_reflects_fleet_states(self):
         provider = CloudProvider(ProviderConfig(max_vms=10, boot_delay=120.0))
@@ -34,13 +20,14 @@ class TestCapture:
         assert profile.max_vms == 10
         assert profile.boot_delay == 120.0
         assert profile.billing_period == 3_600.0
-        assert profile.idle_count() == 1
-        assert profile.busy_count() == 1
-        assert profile.booting_count() == 1
-        busy_snap = next(s for s in profile.vms if s.vm_id == busy_vm.vm_id)
-        assert busy_snap.busy_until == 900.0
-        boot_snap = next(s for s in profile.vms if s.vm_id == booting_vm.vm_id)
-        assert boot_snap.ready_time == 320.0
+        # A VM boots while ``now < ready_time`` and is busy while
+        # ``busy_until > now``; the capture writes -1 for a VM not busy.
+        snaps = {s.vm_id: (s.ready_time, s.busy_until) for s in profile.vms}
+        assert snaps == {
+            idle_vm.vm_id: (120.0, -1.0),
+            busy_vm.vm_id: (120.0, 900.0),
+            booting_vm.vm_id: (320.0, -1.0),
+        }
 
     def test_capture_uses_custom_billing_period(self):
         provider = CloudProvider(ProviderConfig(billing_period=60.0))
@@ -51,7 +38,9 @@ class TestCapture:
         snaps = [VMSnapshot(vm_id=0, lease_time=0.0, ready_time=0.0, busy_until=-1.0)]
         profile = profile_from_vms(now=5.0, vms=snaps, max_vms=7)
         assert profile.max_vms == 7
-        assert profile.idle_count() == 1
+        assert profile.vms == tuple(snaps)
+        assert profile.vms[0].ready_time <= profile.now
+        assert profile.vms[0].busy_until == -1.0
 
 
 class TestArtifactsRegistry:

@@ -2,9 +2,9 @@
 
 The acceptance bar is bit-identical resume: kill a run at a snapshot
 boundary, resume it, and the final exported result must equal the
-uninterrupted run's byte for byte.  Everything here uses the
-deterministic virtual cost clock — wall-clock selection budgets are
-inherently host-dependent and out of scope for identity tests.
+uninterrupted run's byte for byte.  Algorithm 1 charges a fixed cost
+per scored policy, so no scheduling decision here depends on the host's
+clock.
 """
 
 import json

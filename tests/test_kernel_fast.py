@@ -12,7 +12,8 @@ Also covers the satellite fixes of the same PR:
 * the :func:`_remaining_paid` helper at exact billing boundaries;
 * the truncation penalty horizon (never-started jobs) and the invariant
   that a truncated score can never beat a draining policy's;
-* rider outcomes of shared runs, and the selector's per-round memo;
+* rider outcomes of shared runs, the selector's per-round memo, and its
+  round plan (a leader's riders are the plan's later members);
 * quiet head-blocked stretches: skipped steps decide, count and
   truncate exactly as the reference loop's, and the skip fires.
 
