@@ -416,6 +416,10 @@ def _hold_running_job(engine):
     engine._held.add(1)
 
 
+def _hold_unknown_job(engine):
+    engine._held.add(12345)
+
+
 def _rebind_to_queued_job(engine):
     engine._vms_of_job[2] = engine._vms_of_job.pop(1)
 
@@ -461,6 +465,8 @@ ROUND_MUTATIONS = [
                  "sits in the queue in state PENDING", id="queued-bad-state"),
     pytest.param(_hold_running_job, {}, "held-job-bad-state",
                  "is in state RUNNING", id="held-bad-state"),
+    pytest.param(_hold_unknown_job, {}, "held-job-bad-state",
+                 "job 12345 is in state missing", id="held-missing"),
     pytest.param(_rebind_to_queued_job, {}, "binding-without-running-job",
                  "job 2 in state QUEUED", id="binding-without-running-job"),
     pytest.param(_bind(1, lambda engine: []), {}, "job-vm-count-mismatch",
