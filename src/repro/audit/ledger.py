@@ -36,7 +36,8 @@ class CompletionEntry(NamedTuple):
 
 
 class ChargeEntry(NamedTuple):
-    """One booked VM charge (``kind``: terminate | straggler | reserved)."""
+    """One booked VM charge (``kind``: terminate | preempt | straggler |
+    reserved)."""
 
     vm_id: int
     lease_time: float

@@ -23,8 +23,10 @@ it lives in the same codebase release-locked to them.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import deque
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from repro.audit.config import AuditConfig, AuditLevel
@@ -33,6 +35,7 @@ from repro.audit.oracle import DifferentialOracle
 from repro.audit.report import AuditReport
 from repro.audit.violations import InvariantViolation, Violation
 from repro.cloud.vm import VM, VMState
+from repro.sim.events import EventKind
 from repro.workload.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
@@ -46,9 +49,21 @@ __all__ = ["InvariantMonitor"]
 #: Slack for float comparisons on simulated-time arithmetic.
 _TIME_EPS = 1e-6
 
+#: The job states the round census counts, in the order it unpacks them.
+_CENSUS = (JobState.QUEUED, JobState.RUNNING, JobState.FINISHED, JobState.FAILED)
+
 
 class InvariantMonitor:
     """Checks the engine's books while the run executes."""
+
+    #: Last round's census: every job's state, the ``_CENSUS`` counts
+    #: over that list, and its positions 0, 1, 2, ... (built once per
+    #: full count, so no round builds an int per job, as ``count()``
+    #: would).  Class-level defaults, so a monitor unpickled from a
+    #: snapshot written before the census kept them counts in full.
+    _census_states: list | None = None
+    _census_counts: list[int] | None = None
+    _census_positions: list[int] | None = None
 
     def __init__(self, config: AuditConfig) -> None:
         if not config.enabled:
@@ -101,8 +116,6 @@ class InvariantMonitor:
     def on_event(self, sim: "Simulator", event: "Event") -> None:
         """Called by the kernel for every popped event, pre-dispatch
         (``sim.now`` still holds the previous event's timestamp)."""
-        from repro.sim.events import EventKind
-
         self.events_audited += 1
         self._ring.append(_describe(event))
         if event.cancelled:
@@ -309,14 +322,7 @@ class InvariantMonitor:
             )
 
     def _check_jobs(self, engine: "ClusterEngine", now: float) -> None:
-        # The census walks every job of the run each round.  ``list.count``
-        # matches enum members by identity in C; a dict keyed by state
-        # would call the Python-level ``Enum.__hash__`` once per job.
-        states = [job.state for job in engine.jobs]
-        queued = states.count(JobState.QUEUED)
-        running = states.count(JobState.RUNNING)
-        finished = states.count(JobState.FINISHED)
-        failed = states.count(JobState.FAILED)
+        queued, running, finished, failed = self._census(engine)
         # Queue ↔ state consistency: the queue holds exactly the QUEUED
         # jobs, each once.
         seen: set[int] = set()
@@ -342,12 +348,13 @@ class InvariantMonitor:
                 f"{queued} jobs are QUEUED but the queue holds {len(seen)}",
             )
         for job_id in engine._held:
-            if engine._jobs_by_id[job_id].state is not JobState.PENDING:
+            job = engine._jobs_by_id.get(job_id)
+            if job is None or job.state is not JobState.PENDING:
+                state = "missing" if job is None else job.state.name
                 self._emit(
                     "held-job-bad-state",
                     now,
-                    f"dependency-held job {job_id} is in state "
-                    f"{engine._jobs_by_id[job_id].state.name}",
+                    f"dependency-held job {job_id} is in state {state}",
                 )
         if finished != engine._finished:
             self._emit(
@@ -377,6 +384,36 @@ class InvariantMonitor:
                 f"{running} jobs are RUNNING but {len(engine._vms_of_job)} "
                 "hold VM bindings",
             )
+
+    def _census(self, engine: "ClusterEngine") -> list[int]:
+        """Count the ``_CENSUS`` states over every job of the run.
+
+        Every state is read from the job objects each round, so the
+        census trusts none of the engine's bookkeeping.  Only the counting
+        is incremental: the entries that are not the very object they
+        were last round move last round's counts, each compared as
+        ``list.count`` compares (identity, then ``==``).  The counts thus
+        always equal fresh ``list.count`` passes over the states, whatever
+        value a state holds, and an unhashable one never raises.
+        """
+        states = [job.state for job in engine.jobs]
+        last = self._census_states
+        if last is None or len(last) != len(states):
+            counts = [states.count(state) for state in _CENSUS]
+            self._census_positions = list(range(len(states)))
+        else:
+            counts = list(self._census_counts)
+            changed = map(operator.is_not, states, last)
+            for i in compress(self._census_positions, changed):
+                old, new = last[i], states[i]
+                for k, state in enumerate(_CENSUS):
+                    if old is state or old == state:
+                        counts[k] -= 1
+                    if new is state or new == state:
+                        counts[k] += 1
+        self._census_states = states
+        self._census_counts = counts
+        return counts
 
     def _check_fleet(self, engine: "ClusterEngine", now: float) -> None:
         bound_vms = 0

@@ -26,8 +26,10 @@ Record kinds
 ``vm``
     VM lifecycle: ``event`` is ``lease`` / ``ready`` / ``fail``.
 ``charge``
-    A billing settlement booked into RV: charged seconds, the charge
-    kind (``terminate`` / ``straggler`` / ``reserved``), and the VM.
+    A billing settlement booked into RV: the VM (``vm``), its charged
+    seconds (``seconds``), whether it is reserved (``reserved``), and
+    the settlement kind (``settlement``: ``terminate`` / ``preempt`` /
+    ``straggler`` / ``reserved``).
 ``failover``
     The portfolio scheduler hit its quarantine cap and permanently
     switched to its safe policy.

@@ -14,7 +14,10 @@ Three tiers:
 
 import json
 import pickle
+import random
+import re
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -47,9 +50,10 @@ from repro.sim.kernel import Simulator
 from repro.workload.cleaning import clean_jobs
 from repro.workload.job import Job, JobState
 from repro.workload.swf import parse_swf_file, write_swf
-from repro.workload.synthetic import DAS2_FS0, generate_trace
+from repro.workload.synthetic import DAS2_FS0, LPC_EGEE, generate_trace
 
 HOUR = 3_600.0
+ROOT = Path(__file__).resolve().parents[1]
 
 STRICT = AuditConfig(level=AuditLevel.STRICT)
 RECORD = AuditConfig(level=AuditLevel.RECORD)
@@ -522,6 +526,178 @@ class TestRoundCheckMutations:
         engine = steady_engine(**IDLE_SPOT)
         engine.advance()
         assert engine.finalize().audit.ok
+
+    def test_architecture_counts_the_cases(self):
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        paragraph = text.split("**Cost of the round census.**")[1].split("\n\n")[0]
+        cases, kinds = re.search(
+            r"\((\d+)\s+cases\s+over\s+(\d+)\s+violation\s+kinds", paragraph
+        ).groups()
+        assert int(cases) == len(ROUND_MUTATIONS)
+        assert int(kinds) == len({param.values[2] for param in ROUND_MUTATIONS})
+
+
+CENSUS = (JobState.QUEUED, JobState.RUNNING, JobState.FINISHED, JobState.FAILED)
+
+
+class FullCountMonitor(InvariantMonitor):
+    """The round census as four fresh ``list.count`` passes."""
+
+    def _census(self, engine):
+        states = [job.state for job in engine.jobs]
+        return [states.count(state) for state in CENSUS]
+
+
+class EqualsAll:
+    """A state value equal to anything (and so unhashable)."""
+
+    def __eq__(self, other):
+        return True
+
+
+#: State values no engine writes, each built fresh per job.
+ODD_STATES = {
+    "string": lambda: "queued",
+    "list": lambda: [JobState.QUEUED],
+    "equals-all": EqualsAll,
+}
+
+
+def _job_indices(engine, rng, k=1):
+    """*k* distinct positions in ``engine.jobs`` that hold a ``JobState``,
+    so an odd value never reaches a job the engine will queue or run."""
+    eligible = [i for i, job in enumerate(engine.jobs)
+                if isinstance(job.state, JobState)]
+    return rng.sample(eligible, k)
+
+
+def _settled_index(engine, rng):
+    """A finished job's position: the engine never reads its state again."""
+    settled = [i for i, job in enumerate(engine.jobs)
+               if job.job_id in engine.audit._completed
+               and isinstance(job.state, JobState)]
+    return rng.choice(settled) if settled else None
+
+
+def _corrupt(engines, op, rng):
+    """Apply one seeded corruption identically to every engine."""
+    lead = engines[0]
+    if op == "flip":
+        (i,) = _job_indices(lead, rng)
+        state = rng.choice(list(JobState))
+        for engine in engines:
+            engine.jobs[i].state = state
+    elif op == "flip-restore":
+        (i,) = _job_indices(lead, rng)
+        state = rng.choice(list(JobState))
+        for engine in engines:
+            was = engine.jobs[i].state
+            engine.jobs[i].state = state
+            engine.jobs[i].state = was
+    elif op == "swap":
+        i, j = _job_indices(lead, rng, 2)
+        for engine in engines:
+            a, b = engine.jobs[i], engine.jobs[j]
+            a.state, b.state = b.state, a.state
+    elif op in ODD_STATES:
+        i = _settled_index(lead, rng)
+        if i is None:
+            return
+        for engine in engines:
+            engine.jobs[i].state = ODD_STATES[op]()
+    elif op == "reorder":
+        order = list(range(len(lead.jobs)))
+        rng.shuffle(order)
+        for engine in engines:
+            engine.jobs = [engine.jobs[i] for i in order]
+    elif op == "append":
+        job_id = max(job.job_id for job in lead.jobs) + 1
+        state = rng.choice(CENSUS)
+        for engine in engines:
+            job = Job(job_id=job_id, submit_time=0.0, runtime=60.0, procs=1)
+            job.state = state
+            engine.jobs.append(job)
+    else:  # pragma: no cover - a typo in OPS
+        raise ValueError(op)
+
+
+# Spot reclaims and lease faults kill jobs; one retry each, so some
+# requeue and some fail.
+HOSTILE = dict(
+    spot=SpotConfig(seed=3, spot_fraction=0.5, preempt_rate_per_hour=1.0),
+    faults=FaultModel(seed=5, lease_fault_rate=0.1, boot_fail_rate=0.05),
+    lease_retry=RetryPolicy(),
+    max_job_retries=1,
+)
+
+
+class TestIncrementalCensus:
+    """The census moves last round's counts by the entries that changed;
+    they must always equal four fresh ``list.count`` passes."""
+
+    OPS = ["flip", "flip-restore", "swap", "string", "list", "equals-all",
+           "reorder", "append"]
+
+    def test_counts_equal_a_fresh_count_under_corruption(self):
+        audit = AuditConfig(level=AuditLevel.RECORD, max_violations=100_000)
+        jobs = generate_trace(LPC_EGEE, duration=6 * HOUR, seed=31)
+        engines = [
+            make_engine(jobs, audit=audit, policy="ODA-S35-FCFS-FirstFit",
+                        **HOSTILE)
+            for _ in range(2)
+        ]
+        for engine in engines:
+            engine.start()
+        incremental, full = engines
+        left, right = incremental.audit, full.audit
+        # The same monitor, hooks and all, now counts in full each round.
+        right.__class__ = FullCountMonitor
+        rng = random.Random(8)
+        for chunk in range(40):
+            live = [engine.advance(max_events=40) for engine in engines]
+            assert live == [True, True], chunk
+            assert left.violations == right.violations
+            assert left.violations_total == right.violations_total
+            assert left.rounds_audited == right.rounds_audited
+            states = left._census_states
+            assert left._census_counts == [states.count(s) for s in CENSUS]
+            _corrupt(engines, self.OPS[chunk % len(self.OPS)], rng)
+        reports = [engine.finalize().audit for engine in engines]
+        assert reports[0] == reports[1]
+        assert left.violations_total > 0
+        assert incremental.jobs_failed > 0
+
+    def test_a_value_equal_to_all_is_counted_in_a_quiet_round(self):
+        """The list of states compares equal to last round's here, yet
+        the one changed entry still moves every count."""
+        engines = [steady_engine(audit=RECORD) for _ in range(2)]
+        engines[1].audit.__class__ = FullCountMonitor
+        for engine in engines:
+            engine._jobs_by_id[3].state = EqualsAll()
+            engine.advance()
+        left, right = (engine.audit for engine in engines)
+        assert left.violations == right.violations
+        assert "2 jobs are QUEUED but the queue holds 1" in left.violations[0].message
+
+    def test_monitor_from_an_older_snapshot_counts_in_full(self):
+        engine = steady_engine()
+        monitor = engine.audit
+        assert monitor._census_states is not None
+        # The shape of a snapshot written before the census kept state.
+        del monitor._census_states, monitor._census_counts, \
+            monitor._census_positions
+        resumed = pickle.loads(pickle.dumps(engine))
+        assert "_census_states" not in vars(resumed.audit)
+        assert resumed.audit._census_states is None
+        _set_state(3, JobState.QUEUED)(resumed)
+        with pytest.raises(InvariantViolation) as exc_info:
+            resumed.advance()
+        assert exc_info.value.violation.kind == "job-conservation"
+        assert "2 jobs are QUEUED but the queue holds 1" in \
+            exc_info.value.violation.message
+        states = resumed.audit._census_states
+        assert resumed.audit._census_counts == \
+            [states.count(state) for state in CENSUS]
 
 
 FAULT_KWARGS = dict(

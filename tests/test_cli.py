@@ -141,6 +141,28 @@ class TestAuditFlag:
         assert "differential oracle" in out
         assert "verdict" in out
 
+    def test_audit_is_a_pure_observer(self, tmp_path, capsys):
+        """A strict audit reads the engine and steers nothing: its run
+        exports what an unaudited run does, bar the ``audit`` report."""
+        import json
+
+        exports = {}
+        for level in ("off", "strict"):
+            out_path = tmp_path / f"{level}.json"
+            assert main([
+                "run", "--model", "DAS2-fs0", "--hours", "4", "--seed", "29",
+                "--policy", "ODA-UNICEF-FirstFit",
+                "--spot-fraction", "0.5", "--preempt-rate", "0.2",
+                "--checkpoint-interval", "300", "--brownout", "4",
+                "--lease-fault-rate", "0.05", "--boot-fail-rate", "0.02",
+                "--audit", level, "--export-json", str(out_path),
+            ]) == 0
+            exports[level] = json.loads(out_path.read_text())
+        assert "audit" not in exports["off"]
+        assert exports["strict"].pop("audit")["ok"]
+        assert exports["off"] == exports["strict"]
+        assert exports["off"]["spot"]["preemptions"] > 0
+
 
 class TestTraceCommand:
     def test_summary_printed(self, capsys):

@@ -11,11 +11,13 @@ consistency.
 import importlib.util
 import json
 import pickle
+import re
 import signal
 from pathlib import Path
 
 import pytest
 
+from repro.audit.ledger import ChargeEntry
 from repro.cli import main as cli_main
 from repro.core.scheduler import FixedScheduler, PortfolioScheduler
 from repro.durability import DurableRunner, RunInterrupted, SnapshotConfig
@@ -32,6 +34,7 @@ from repro.obs import (
     read_trace,
     render_trace_report,
 )
+from repro.obs import records as trace_records
 from repro.policies.combined import policy_by_name
 from repro.workload.synthetic import DAS2_FS0, KTH_SP2, generate_trace
 
@@ -258,6 +261,24 @@ class TestEngineWiring:
         assert ends[0]["unfinished"] == result.unfinished_jobs
         # The profile record only appears on profiled runs.
         assert trace.of_kind("profile") == []
+
+    def test_charge_settlements_are_the_documented_kinds(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        assert cli_main([
+            "run", "--model", "DAS2-fs0", "--hours", "6", "--seed", "29",
+            "--policy", "ODA-S35-FCFS-FirstFit",
+            "--spot-fraction", "0.5", "--preempt-rate", "0.5",
+            "--trace-out", str(path),
+        ]) == 0
+        settlements = {r["settlement"] for r in read_trace(path).of_kind("charge")}
+        schema = trace_records.__doc__.split("``charge``")[1].split("``failover``")[0]
+        documented = set(re.findall(
+            r"``(\w+)``", schema.split("``settlement``:")[1]
+        ))
+        ledger = re.search(r"``kind``: ([\w|\s]+)\)", ChargeEntry.__doc__)
+        assert {kind.strip() for kind in ledger.group(1).split("|")} == documented
+        assert "preempt" in settlements
+        assert settlements <= documented
 
     def test_profiler_spans_cover_hot_paths(self):
         engine = make_engine(profile=True)
